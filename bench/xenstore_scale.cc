@@ -1,16 +1,17 @@
-// Head-to-head XenStore scale: the faithful legacy store vs the indexed
-// fast path (StorePolicy, src/xenstore/policy.h) at fleet scale.
+// Head-to-head XenStore scale: the faithful legacy price list vs the
+// indexed one (StorePolicy, src/xenstore/policy.h) at fleet scale.
 //
 // Drives xenstored directly (no VM lifecycle) so the store is the only
 // variable: each "domain create" session performs the store traffic a
-// chaos create issues — the O(#domains) unique-name admission scan, device
-// writes under /local/domain/<i>, a persistent frontend watch and one
-// device-handshake transaction. Under the legacy policy the name scan and
-// the O(#watches) match scan reproduce the §4.2 superlinear creation-time
-// curve; the indexed policy answers both from hash indexes and stays
-// near-flat. The differential property suite (tests/property_test.cc)
-// proves the two policies observably equivalent, so the gap measured here
-// is pure mechanism cost, not behaviour drift.
+// chaos create issues — the unique-name admission check, device writes
+// under /local/domain/<i>, a persistent frontend watch and one
+// device-handshake transaction. Both policies run the same store code and
+// differ only in the effort charged: legacy pays the O(#domains) name scan
+// and the O(#watches) match scan, reproducing the §4.2 superlinear
+// creation-time curve in simulated time; indexed pays the index probes and
+// stays near-flat. The differential property suite (tests/property_test.cc)
+// proves the two observably equivalent, so the gap measured here is pure
+// mechanism cost, not behaviour drift.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -45,7 +46,7 @@ sim::Co<void> CreateSession(sim::ExecCtx ctx, xs::XsClient* client, int i, bool&
   if (!(co_await client->Watch(ctx, base + "/device", "fe")).ok()) {
     co_return;
   }
-  // Device handshake transaction (the batched-commit path when indexed).
+  // Device handshake transaction (priced as a batched commit when indexed).
   auto txn = co_await client->TxBegin(ctx);
   if (!txn.ok()) {
     co_return;
@@ -65,10 +66,7 @@ sim::Co<void> CreateSession(sim::ExecCtx ctx, xs::XsClient* client, int i, bool&
 std::vector<double> RunPolicy(xs::StorePolicy policy, int domains) {
   sim::Engine engine;
   sim::CpuScheduler cpu(&engine, 2);
-  // The daemon's embedded Store reads the thread-local policy at
-  // construction, same as Dom0Services does for real hosts.
-  xs::StorePolicyScope scope(policy);
-  xs::Daemon daemon(&engine);
+  xs::Daemon daemon(&engine, policy);
   daemon.Start(sim::ExecCtx{&cpu, 0, sim::kHostOwner});
   sim::ExecCtx ctx{&cpu, 1, sim::kHostOwner};
 

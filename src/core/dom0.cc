@@ -27,10 +27,7 @@ Dom0Services::Dom0Services(Deps deps, const Mechanisms& mechanisms) : deps_(deps
   // and blkback watcher land on consecutive cores in that order, exactly as
   // before the Host decomposition (core assignment is timing-relevant).
   if (use_store) {
-    // The daemon's embedded Store picks the policy up from the thread-local
-    // store context (policy.h) — no constructor plumbing through Daemon.
-    xs::StorePolicyScope policy_scope(mechanisms.xs_policy);
-    store_ = std::make_unique<xs::Daemon>(deps_.engine);
+    store_ = std::make_unique<xs::Daemon>(deps_.engine, mechanisms.xs_policy);
     store_->Start(Dom0Ctx());
     netback_->StartXsWatcher(store_.get(), Dom0Ctx());
     blkback_->StartXsWatcher(store_.get(), Dom0Ctx());

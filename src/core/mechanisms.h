@@ -17,10 +17,11 @@ struct Mechanisms {
   // §9 extension (not in the paper's evaluation): SnowFlock-style page
   // sharing between VMs created from the same image flavor.
   bool page_sharing = false;
-  // Which store implementation the host's xenstored runs (policy.h). The
-  // paper presets stay on kLegacy — figures 4/9 depend on the faithful O(n)
-  // behaviour; fleet-scale runs opt into kIndexed via the scenario spec's
-  // `xenstore_policy` field. Ignored when the preset has no store.
+  // Which price list the host's xenstored charges (policy.h); Dom0Services
+  // passes it to the Daemon it constructs. The paper presets stay on kLegacy
+  // — figures 4/9 depend on the faithful O(n) costs; fleet-scale runs opt
+  // into kIndexed via the scenario spec's `xenstore_policy` field. Ignored
+  // when the preset has no store.
   xs::StorePolicy xs_policy = xs::StorePolicy::kLegacy;
 
   // The five configurations the paper evaluates.

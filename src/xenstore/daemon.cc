@@ -147,8 +147,8 @@ metrics::Counter& OpCounter(OpType op) {
 
 }  // namespace
 
-Daemon::Daemon(sim::Engine* engine, Costs costs)
-    : engine_(engine), costs_(costs), queue_(engine) {}
+Daemon::Daemon(sim::Engine* engine, StorePolicy policy, Costs costs)
+    : engine_(engine), costs_(costs), store_(policy), queue_(engine) {}
 
 Daemon::~Daemon() { Stop(); }
 

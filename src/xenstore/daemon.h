@@ -76,7 +76,9 @@ class Daemon {
     int64_t quota_rejects = 0;
   };
 
-  Daemon(sim::Engine* engine, Costs costs = Costs());
+  // `policy` picks the embedded store's price list (policy.h).
+  explicit Daemon(sim::Engine* engine, StorePolicy policy = StorePolicy::kLegacy,
+                  Costs costs = Costs());
   ~Daemon();
 
   // Starts the daemon loop on the given Dom0 execution context.

@@ -2,10 +2,6 @@
 
 namespace xs {
 
-namespace {
-thread_local StorePolicy current_policy = StorePolicy::kLegacy;
-}  // namespace
-
 const char* StorePolicyName(StorePolicy policy) {
   switch (policy) {
     case StorePolicy::kLegacy:
@@ -27,9 +23,5 @@ bool StorePolicyFromName(const std::string& name, StorePolicy* out) {
   }
   return false;
 }
-
-StorePolicy CurrentStorePolicy() { return current_policy; }
-
-void SetCurrentStorePolicy(StorePolicy policy) { current_policy = policy; }
 
 }  // namespace xs

@@ -1,6 +1,7 @@
 #include "src/xenstore/store.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_set>
 
 #include "src/base/strings.h"
@@ -8,6 +9,10 @@
 namespace xs {
 
 Store::Store(StorePolicy policy) : policy_(policy) {}
+
+int64_t Store::Price(int64_t legacy, int64_t indexed) const {
+  return policy_ == StorePolicy::kLegacy ? legacy : indexed;
+}
 
 std::string Store::Canon(const std::string& path) {
   return lv::Join(lv::Split(path, '/'), '/');
@@ -23,63 +28,61 @@ bool Store::MayMutate(hv::DomainId domid, const std::string& canon) {
 }
 
 // --- Index bookkeeping -------------------------------------------------------
-// Maintained under both policies so a store can serve as the differential
-// reference for the other; pure bookkeeping that never touches the effort
-// counters or the generation counter, keeping legacy runs byte-identical.
+// Pure bookkeeping: never touches the effort counters or the generation.
 
-bool Store::IsDomainNamePath(const std::string& canon) {
+std::string_view Store::DomainNameKey(const std::string& canon) {
   constexpr std::string_view kPrefix = "local/domain/";
   constexpr std::string_view kSuffix = "/name";
   if (canon.size() <= kPrefix.size() + kSuffix.size()) {
-    return false;
+    return {};
   }
   if (canon.compare(0, kPrefix.size(), kPrefix) != 0 ||
       canon.compare(canon.size() - kSuffix.size(), kSuffix.size(), kSuffix) != 0) {
-    return false;
+    return {};
   }
   // Exactly one segment (the domid) between prefix and suffix.
   std::string_view mid(canon.data() + kPrefix.size(),
                        canon.size() - kPrefix.size() - kSuffix.size());
-  return !mid.empty() && mid.find('/') == std::string_view::npos;
+  return mid.find('/') == std::string_view::npos ? mid : std::string_view();
 }
 
-void Store::IndexName(const std::string& value, int64_t delta) {
-  int64_t& count = name_index_[value];
-  count += delta;
-  if (count <= 0) {
-    name_index_.erase(value);
+void Store::IndexName(const std::string& canon, const std::string& value, bool add) {
+  std::string_view key = DomainNameKey(canon);
+  if (key.empty()) {
+    return;
+  }
+  if (add) {
+    name_index_[value].emplace(key);
+    return;
+  }
+  auto names = name_index_.find(value);
+  names->second.erase(names->second.find(key));
+  if (names->second.empty()) {
+    name_index_.erase(names);
   }
 }
 
 void Store::RegisterNode(const std::string& canon, Node* node) {
-  path_index_[canon] = node;
   ++node_count_;
   ++owner_nodes_[node->owner];
-  if (IsDomainNamePath(canon)) {
-    IndexName(node->value, +1);
-  }
+  IndexName(canon, node->value, /*add=*/true);
 }
 
 void Store::UnregisterSubtree(const std::string& canon, Node* node) {
   for (auto& [name, child] : node->children) {
     UnregisterSubtree(canon + "/" + name, child.get());
   }
-  path_index_.erase(canon);
   --node_count_;
   auto it = owner_nodes_.find(node->owner);
   if (it != owner_nodes_.end() && --it->second <= 0) {
     owner_nodes_.erase(it);
   }
-  if (IsDomainNamePath(canon)) {
-    IndexName(node->value, -1);
-  }
+  IndexName(canon, node->value, /*add=*/false);
 }
 
 void Store::SetNodeValue(const std::string& canon, Node* node, const std::string& value) {
-  if (IsDomainNamePath(canon)) {
-    IndexName(node->value, -1);
-    IndexName(value, +1);
-  }
+  IndexName(canon, node->value, /*add=*/false);
+  IndexName(canon, value, /*add=*/true);
   node->value = value;
 }
 
@@ -90,14 +93,15 @@ int64_t Store::owner_nodes(hv::DomainId domid) const {
 
 // --- Tree access -------------------------------------------------------------
 
-Store::Node* Store::Walk(const std::string& canon, bool create, hv::DomainId owner) {
+Store::Node* Store::Walk(const std::string& canon, bool create, hv::DomainId owner,
+                         int64_t* visited) {
   Node* node = &root_;
   if (canon.empty()) {
     return node;
   }
   std::string prefix;
   for (const std::string& seg : lv::Split(canon, '/')) {
-    ++effort_.nodes_visited;
+    ++*visited;
     if (create) {
       prefix = prefix.empty() ? seg : prefix + "/" + seg;
     }
@@ -117,15 +121,10 @@ Store::Node* Store::Walk(const std::string& canon, bool create, hv::DomainId own
 }
 
 Store::Node* Store::Lookup(const std::string& canon) {
-  if (policy_ == StorePolicy::kIndexed) {
-    if (canon.empty()) {
-      return &root_;
-    }
-    ++effort_.nodes_visited;
-    auto it = path_index_.find(canon);
-    return it == path_index_.end() ? nullptr : it->second;
-  }
-  return Walk(canon, /*create=*/false, hv::kDom0);
+  int64_t visited = 0;
+  Node* node = Walk(canon, /*create=*/false, hv::kDom0, &visited);
+  effort_.nodes_visited += Price(visited, canon.empty() ? 0 : 1);
+  return node;
 }
 
 void Store::BumpGen(const std::string& canon) {
@@ -143,48 +142,33 @@ uint64_t Store::PathGen(const std::string& canon) const {
 }
 
 void Store::MatchWatches(const std::string& canon, std::vector<WatchHit>* hits) {
-  if (policy_ == StorePolicy::kIndexed) {
-    // One bucket probe per ancestor prefix (including the path itself and
-    // the match-all "" prefix) instead of a scan over every registration.
-    // Matches are re-sorted by registration seq so the hit order is
-    // byte-identical to the legacy scan.
-    std::vector<const Watch*> matched;
-    std::string prefix = canon;
-    while (true) {
-      ++effort_.watch_checks;
-      auto it = watch_index_.find(prefix);
-      if (it != watch_index_.end()) {
-        for (const Watch& w : it->second) {
-          matched.push_back(&w);
-        }
-      }
-      if (prefix.empty()) {
-        break;
-      }
-      size_t slash = prefix.rfind('/');
-      prefix = slash == std::string::npos ? std::string() : prefix.substr(0, slash);
-    }
-    std::sort(matched.begin(), matched.end(),
-              [](const Watch* a, const Watch* b) { return a->seq < b->seq; });
-    for (const Watch* w : matched) {
-      ++effort_.watches_fired;
-      if (hits != nullptr) {
-        hits->push_back(WatchHit{w->client, w->path, w->token, canon});
+  // One bucket probe per ancestor prefix, including the path itself and the
+  // match-all "" prefix, re-sorted into registration order.
+  std::vector<const Watch*> matched;
+  int64_t probes = 0;
+  std::string prefix = canon;
+  while (true) {
+    ++probes;
+    auto it = watch_index_.find(prefix);
+    if (it != watch_index_.end()) {
+      for (const Watch& w : it->second) {
+        matched.push_back(&w);
       }
     }
-    return;
+    if (prefix.empty()) {
+      break;
+    }
+    size_t slash = prefix.rfind('/');
+    prefix.resize(slash == std::string::npos ? 0 : slash);
   }
+  std::sort(matched.begin(), matched.end(),
+            [](const Watch* a, const Watch* b) { return a->seq < b->seq; });
   // oxenstored checks the fired path against every registered watch.
-  for (const Watch& w : watches_) {
-    ++effort_.watch_checks;
-    bool match = canon == w.path || (canon.size() > w.path.size() &&
-                                     lv::HasPrefix(canon, w.path) &&
-                                     (w.path.empty() || canon[w.path.size()] == '/'));
-    if (match) {
-      ++effort_.watches_fired;
-      if (hits != nullptr) {
-        hits->push_back(WatchHit{w.client, w.path, w.token, canon});
-      }
+  effort_.watch_checks += Price(watch_count_, probes);
+  effort_.watches_fired += static_cast<int64_t>(matched.size());
+  if (hits != nullptr) {
+    for (const Watch* w : matched) {
+      hits->push_back(WatchHit{w->client, w->path, w->token, canon});
     }
   }
 }
@@ -293,49 +277,34 @@ lv::Result<std::string> Store::Read(const std::string& path, TxnId txn) {
 }
 
 lv::Status Store::ApplyWrite(const std::string& canon, const std::optional<std::string>& value,
-                             hv::DomainId owner, std::vector<WatchHit>* hits) {
+                             hv::DomainId owner, std::vector<WatchHit>* hits, bool shadowed) {
+  int64_t visited = 0;
   if (value.has_value()) {
-    Node* node = nullptr;
-    if (policy_ == StorePolicy::kIndexed && !canon.empty()) {
-      ++effort_.nodes_visited;
-      auto it = path_index_.find(canon);
-      node = it == path_index_.end() ? nullptr : it->second;
-    }
-    if (node == nullptr) {
-      // Creation (or legacy): walk, charging per segment.
-      node = Walk(canon, /*create=*/true, owner);
-    }
+    int64_t nodes_before = node_count_;
+    Node* node = Walk(canon, /*create=*/true, owner, &visited);
     SetNodeValue(canon, node, *value);
-    effort_.value_bytes += static_cast<int64_t>(value->size());
+    // Indexed probes the path (1) and walks only to create (1 + depth). A
+    // shadowed write to an existing node is batched away: no probe, no copy.
+    bool created = node_count_ != nodes_before;
+    bool batched = shadowed && !created && !canon.empty();
+    int64_t probes = canon.empty() || batched ? 0 : created ? 1 + visited : 1;
+    int64_t bytes = static_cast<int64_t>(value->size());
+    effort_.nodes_visited += Price(visited, probes);
+    effort_.value_bytes += Price(bytes, batched ? 0 : bytes);
   } else {
-    // Removal.
+    // Removal: legacy walks to the parent; indexed probes the path, then
+    // the parent unless that is the root.
     size_t slash = canon.rfind('/');
     std::string parent_path =
         slash == std::string::npos ? std::string() : canon.substr(0, slash);
     std::string leaf = slash == std::string::npos ? canon : canon.substr(slash + 1);
-    Node* parent = nullptr;
-    if (policy_ == StorePolicy::kIndexed) {
-      ++effort_.nodes_visited;
-      if (!canon.empty() && path_index_.count(canon) == 0) {
-        return lv::Err(lv::ErrorCode::kNotFound, canon);
-      }
-      if (parent_path.empty()) {
-        parent = &root_;
-      } else {
-        ++effort_.nodes_visited;
-        auto it = path_index_.find(parent_path);
-        parent = it == path_index_.end() ? nullptr : it->second;
-      }
-    } else {
-      parent = Walk(parent_path, /*create=*/false, owner);
-    }
-    if (parent == nullptr) {
+    Node* parent = Walk(parent_path, /*create=*/false, owner, &visited);
+    bool found = parent != nullptr && parent->children.count(leaf) != 0;
+    effort_.nodes_visited += Price(visited, found && !parent_path.empty() ? 2 : 1);
+    if (!found) {
       return lv::Err(lv::ErrorCode::kNotFound, canon);
     }
     auto child = parent->children.find(leaf);
-    if (child == parent->children.end()) {
-      return lv::Err(lv::ErrorCode::kNotFound, canon);
-    }
     UnregisterSubtree(canon, child->second.get());
     parent->children.erase(child);
   }
@@ -396,9 +365,10 @@ lv::Result<std::vector<std::string>> Store::Directory(const std::string& path, T
   std::string canon = Canon(path);
   if (txn != kNoTxn) {
     auto it = txns_.find(txn);
-    if (it != txns_.end()) {
-      it->second.reads.push_back(canon);
+    if (it == txns_.end()) {
+      return lv::Err(lv::ErrorCode::kInvalidArgument, "unknown transaction");
     }
+    it->second.reads.push_back(canon);
   }
   Node* node = Lookup(canon);
   if (node == nullptr) {
@@ -442,41 +412,22 @@ lv::Status Store::TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits) {
   }
   // Conflict detection: anything we read or wrote that someone else touched
   // since the transaction began forces a retry (EAGAIN in real Xen). The
-  // indexed path checks each distinct path once (the predicate is per-path
-  // idempotent, so the first conflicting path — and thus the error — is
-  // identical to the legacy per-entry scan).
-  if (policy_ == StorePolicy::kIndexed) {
-    std::unordered_set<std::string> checked;
-    for (const std::string& p : t.reads) {
-      if (!checked.insert(p).second) {
-        continue;
-      }
-      ++effort_.nodes_visited;
-      if (PathGen(p) > t.start_gen) {
-        return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + p);
-      }
+  // predicate is per-path idempotent, so only a path's first occurrence can
+  // conflict; legacy still pays a check per entry, indexed per distinct path.
+  std::unordered_set<std::string> checked;
+  auto conflicts = [&](const std::string& p) {
+    bool first = checked.insert(p).second;
+    effort_.nodes_visited += Price(1, first ? 1 : 0);
+    return first && PathGen(p) > t.start_gen;
+  };
+  for (const std::string& p : t.reads) {
+    if (conflicts(p)) {
+      return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + p);
     }
-    for (const TxnWrite& w : t.writes) {
-      if (!checked.insert(w.path).second) {
-        continue;
-      }
-      ++effort_.nodes_visited;
-      if (PathGen(w.path) > t.start_gen) {
-        return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + w.path);
-      }
-    }
-  } else {
-    for (const std::string& p : t.reads) {
-      ++effort_.nodes_visited;
-      if (PathGen(p) > t.start_gen) {
-        return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + p);
-      }
-    }
-    for (const TxnWrite& w : t.writes) {
-      ++effort_.nodes_visited;
-      if (PathGen(w.path) > t.start_gen) {
-        return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + w.path);
-      }
+  }
+  for (const TxnWrite& w : t.writes) {
+    if (conflicts(w.path)) {
+      return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + w.path);
     }
   }
   // Quota pre-pass before anything is applied: a rejected commit leaves the
@@ -485,45 +436,21 @@ lv::Status Store::TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits) {
   if (!quota.ok()) {
     return quota;
   }
-  // Batched commit (indexed, pure-write transactions): a path written more
-  // than once mutates the tree only at its last occurrence; shadowed writes
-  // still bump the generation and fire watches in buffered order, so the
-  // observable hit sequence and conflict structure are identical to legacy —
-  // only the redundant tree walks and value copies are skipped. Any removal
-  // disables batching: rm erases a whole subtree, so write/rm/write to the
-  // same path is not last-write-wins.
-  bool batch = policy_ == StorePolicy::kIndexed;
-  for (const TxnWrite& w : t.writes) {
-    if (!w.value.has_value()) {
-      batch = false;
-      break;
-    }
+  // Indexed prices a removal-free commit as a batch, where a write that a
+  // later write to the same path shadows is not charged (see ApplyWrite).
+  // Any removal disables that: rm erases a whole subtree, so write/rm/write
+  // to the same path is not last-write-wins.
+  bool batch = std::all_of(t.writes.begin(), t.writes.end(),
+                           [](const TxnWrite& w) { return w.value.has_value(); });
+  std::unordered_map<std::string, size_t> last;
+  for (size_t i = 0; batch && i < t.writes.size(); ++i) {
+    last[t.writes[i].path] = i;
   }
-  if (batch) {
-    std::unordered_map<std::string, size_t> last;
-    for (size_t i = 0; i < t.writes.size(); ++i) {
-      last[t.writes[i].path] = i;
-    }
-    for (size_t i = 0; i < t.writes.size(); ++i) {
-      const TxnWrite& w = t.writes[i];
-      // A shadowed write to an *existing* node only sets a value the last
-      // write overwrites anyway: keep its generation bump and watch hits,
-      // skip the tree walk and value copy. Writes that create nodes are
-      // never skipped, so creation (and its owner attribution) happens at
-      // exactly the same write as the unbatched apply.
-      if (last[w.path] != i && !w.path.empty() && path_index_.count(w.path) != 0) {
-        BumpGen(w.path);
-        MatchWatches(w.path, hits);
-        continue;
-      }
-      (void)ApplyWrite(w.path, w.value, w.owner, hits);
-    }
-  } else {
-    for (const TxnWrite& w : t.writes) {
-      // Removal of a non-existent path inside a txn is tolerated (mirrors
-      // xenstore rm semantics when the whole subtree was created in-txn).
-      (void)ApplyWrite(w.path, w.value, w.owner, hits);
-    }
+  for (size_t i = 0; i < t.writes.size(); ++i) {
+    const TxnWrite& w = t.writes[i];
+    // Removal of a non-existent path inside a txn is tolerated (mirrors
+    // xenstore rm semantics when the whole subtree was created in-txn).
+    (void)ApplyWrite(w.path, w.value, w.owner, hits, batch && last[w.path] != i);
   }
   return lv::Status::Ok();
 }
@@ -533,9 +460,8 @@ lv::Status Store::TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits) {
 WatchHit Store::AddWatch(ClientId client, const std::string& path, const std::string& token) {
   effort_.Reset();
   std::string canon = Canon(path);
-  Watch watch{client, canon, token, watch_seq_++};
-  watches_.push_back(watch);
-  watch_index_[canon].push_back(watch);
+  watch_index_[canon].push_back(Watch{client, canon, token, watch_seq_++});
+  ++watch_count_;
   // XenStore fires a watch immediately upon registration.
   return WatchHit{client, canon, token, canon};
 }
@@ -543,42 +469,43 @@ WatchHit Store::AddWatch(ClientId client, const std::string& path, const std::st
 void Store::RemoveWatch(ClientId client, const std::string& path, const std::string& token) {
   effort_.Reset();
   std::string canon = Canon(path);
-  auto matches = [&](const Watch& w) {
-    return w.client == client && w.path == canon && w.token == token;
-  };
-  watches_.erase(std::remove_if(watches_.begin(), watches_.end(), matches),
-                 watches_.end());
   auto bucket = watch_index_.find(canon);
-  if (bucket != watch_index_.end()) {
-    bucket->second.erase(
-        std::remove_if(bucket->second.begin(), bucket->second.end(), matches),
-        bucket->second.end());
-    if (bucket->second.empty()) {
-      watch_index_.erase(bucket);
-    }
+  if (bucket == watch_index_.end()) {
+    return;
+  }
+  watch_count_ -= static_cast<int64_t>(std::erase_if(bucket->second, [&](const Watch& w) {
+    return w.client == client && w.token == token;
+  }));
+  if (bucket->second.empty()) {
+    watch_index_.erase(bucket);
   }
 }
 
 void Store::RemoveClientWatches(ClientId client) {
   effort_.Reset();
-  auto matches = [&](const Watch& w) { return w.client == client; };
-  watches_.erase(std::remove_if(watches_.begin(), watches_.end(), matches),
-                 watches_.end());
   for (auto it = watch_index_.begin(); it != watch_index_.end();) {
-    it->second.erase(
-        std::remove_if(it->second.begin(), it->second.end(), matches),
-        it->second.end());
+    watch_count_ -= static_cast<int64_t>(
+        std::erase_if(it->second, [&](const Watch& w) { return w.client == client; }));
     it = it->second.empty() ? watch_index_.erase(it) : std::next(it);
   }
 }
 
 std::vector<WatchHit> Store::ReplayWatches() {
   effort_.Reset();
+  std::vector<const Watch*> all;
+  all.reserve(static_cast<size_t>(watch_count_));
+  for (const auto& [prefix, bucket] : watch_index_) {
+    for (const Watch& w : bucket) {
+      all.push_back(&w);
+    }
+  }
+  std::sort(all.begin(), all.end(),
+            [](const Watch* a, const Watch* b) { return a->seq < b->seq; });
   std::vector<WatchHit> hits;
-  hits.reserve(watches_.size());
-  for (const Watch& w : watches_) {
+  hits.reserve(all.size());
+  for (const Watch* w : all) {
     ++effort_.watch_checks;
-    hits.push_back(WatchHit{w.client, w.path, w.token, w.path});
+    hits.push_back(WatchHit{w->client, w->path, w->token, w->path});
   }
   return hits;
 }
@@ -587,25 +514,22 @@ std::vector<WatchHit> Store::ReplayWatches() {
 
 lv::Status Store::CheckUniqueName(const std::string& name) {
   effort_.Reset();
-  if (policy_ == StorePolicy::kIndexed) {
-    // One probe of the name index instead of the O(#domains) scan.
-    ++effort_.names_compared;
-    auto it = name_index_.find(name);
-    if (it != name_index_.end() && it->second > 0) {
-      return lv::Err(lv::ErrorCode::kAlreadyExists, "guest name in use: " + name);
-    }
-    return lv::Status::Ok();
+  int64_t visited = 0;
+  Node* domains = Walk("local/domain", /*create=*/false, hv::kDom0, &visited);
+  auto taken = name_index_.find(name);
+  // The legacy scan compares domains in key order and stops at the first
+  // match, which is the first key of the name's (equally ordered) set.
+  int64_t scanned = 0;
+  if (domains != nullptr) {
+    scanned = taken == name_index_.end()
+                  ? static_cast<int64_t>(domains->children.size())
+                  : std::distance(domains->children.begin(),
+                                  domains->children.find(*taken->second.begin())) + 1;
   }
-  Node* domains = Walk("local/domain", /*create=*/false, hv::kDom0);
-  if (domains == nullptr) {
-    return lv::Status::Ok();
-  }
-  for (const auto& [id, node] : domains->children) {
-    ++effort_.names_compared;
-    auto it = node->children.find("name");
-    if (it != node->children.end() && it->second->value == name) {
-      return lv::Err(lv::ErrorCode::kAlreadyExists, "guest name in use: " + name);
-    }
+  effort_.nodes_visited += Price(visited, 0);
+  effort_.names_compared += Price(scanned, 1);
+  if (taken != name_index_.end()) {
+    return lv::Err(lv::ErrorCode::kAlreadyExists, "guest name in use: " + name);
   }
   return lv::Status::Ok();
 }

@@ -8,23 +8,23 @@
 // O(#children) directory listing are the mechanisms behind the paper's
 // superlinear VM-creation times (§4.2).
 //
-// Two implementations live behind StorePolicy (policy.h): kLegacy charges
-// the faithful O(n) effort above; kIndexed answers the same queries through
-// a hash path index, per-prefix watch buckets and an O(1) name index, and
-// batches shadowed writes at transaction commit. The index structures are
-// maintained under both policies (pure bookkeeping: they never touch the
-// effort counters or the generation counter, so legacy runs stay
-// byte-identical) but only consulted — and only charged — on the indexed
-// path. Both policies must be observably equivalent: identical values,
-// errors, watch hits and counts; tests/property_test.cc enforces this with
-// a differential oracle.
+// One implementation, two price lists. Every operation runs the same
+// algorithm on the same structures — the ordered tree, per-prefix watch
+// buckets and a name index — and StorePolicy (policy.h) only decides which
+// effort is *charged*: kLegacy the faithful oxenstored scans (a segment per
+// tree level, every registered watch, every domain name up to the first
+// match), kIndexed the fast path's probes. Values, errors, watch hits and
+// counts cannot differ between policies; tests/property_test.cc checks that
+// with a differential oracle and pins both price lists by digest.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -60,10 +60,7 @@ struct WatchHit {
 
 class Store {
  public:
-  // Picks up the thread-local policy (policy.h) so the Daemon's embedded
-  // store can be policy-selected by whoever constructs the daemon without
-  // widening any signature on that path.
-  Store() : Store(CurrentStorePolicy()) {}
+  Store() : Store(StorePolicy::kLegacy) {}
   explicit Store(StorePolicy policy);
 
   StorePolicy policy() const { return policy_; }
@@ -92,7 +89,8 @@ class Store {
                 std::vector<WatchHit>* hits = nullptr,
                 hv::DomainId requester = hv::kDom0);
 
-  // Lists a node's children (costs O(#children), like XS_DIRECTORY).
+  // Lists a node's children (costs O(#children), like XS_DIRECTORY). The
+  // listing is recorded as a transaction read when `txn` is given.
   lv::Result<std::vector<std::string>> Directory(const std::string& path,
                                                  TxnId txn = kNoTxn);
 
@@ -118,7 +116,7 @@ class Store {
   WatchHit AddWatch(ClientId client, const std::string& path, const std::string& token);
   void RemoveWatch(ClientId client, const std::string& path, const std::string& token);
   void RemoveClientWatches(ClientId client);
-  int64_t num_watches() const { return static_cast<int64_t>(watches_.size()); }
+  int64_t num_watches() const { return watch_count_; }
 
   // Synthesizes one hit per registration (fired_path == watch path), in
   // registration order — the replay a restarted xenstored sends so clients
@@ -126,9 +124,9 @@ class Store {
   std::vector<WatchHit> ReplayWatches();
 
   // --- Domain-name uniqueness (paper §4.2) -----------------------------------
-  // Legacy: scans every registered guest name under /local/domain/*/name and
-  // compares against `name`; O(#domains). Indexed: one probe of the name
-  // index. Returns ALREADY_EXISTS on duplicate either way.
+  // One probe of the name index. Legacy is charged the oxenstored scan over
+  // /local/domain/*/name in key order, up to the first match (O(#domains));
+  // indexed one comparison. Returns ALREADY_EXISTS on duplicate either way.
   lv::Status CheckUniqueName(const std::string& name);
 
   // --- Quotas ----------------------------------------------------------------
@@ -172,9 +170,8 @@ class Store {
     ClientId client = 0;
     std::string path;
     std::string token;
-    // Registration sequence number: the indexed fanout collects matches from
-    // per-prefix buckets and re-sorts by seq so hit order is byte-identical
-    // to the legacy registration-order scan.
+    // Registration sequence number: matches are collected from per-prefix
+    // buckets and re-sorted by seq, so hits fire in registration order.
     int64_t seq = 0;
   };
 
@@ -182,28 +179,37 @@ class Store {
   static std::string Canon(const std::string& path);
   // May `domid` mutate `canon`?
   static bool MayMutate(hv::DomainId domid, const std::string& canon);
-  Node* Walk(const std::string& canon, bool create, hv::DomainId owner);
-  // Policy-dispatched existing-node lookup: legacy walks (charging per
-  // segment), indexed probes the path index (charging one visit).
+  // The pricing step, and the only reader of the policy: of the two efforts
+  // an operation computed, returns the one its policy charges.
+  int64_t Price(int64_t legacy, int64_t indexed) const;
+  // Walks the tree to `canon`, creating missing nodes owned by `owner` when
+  // `create`; nullptr if absent otherwise. Adds the segments looked up to
+  // *visited (the legacy walk price).
+  Node* Walk(const std::string& canon, bool create, hv::DomainId owner, int64_t* visited);
+  // Existing-node lookup: legacy pays per segment walked, indexed one probe.
   Node* Lookup(const std::string& canon);
   void BumpGen(const std::string& canon);
   uint64_t PathGen(const std::string& canon) const;
-  // Scans all watches for matches against a mutated path. Legacy: linear
-  // O(#watches) scan. Indexed: one bucket probe per ancestor prefix.
+  // Collects the watches matching a mutated path: one bucket probe per
+  // ancestor prefix. Legacy pays a check of every registered watch.
   void MatchWatches(const std::string& canon, std::vector<WatchHit>* hits);
+  // `shadowed`: a later write in the same removal-free commit overwrites
+  // this one, so indexed does not pay for it when the node exists.
   lv::Status ApplyWrite(const std::string& canon, const std::optional<std::string>& value,
-                        hv::DomainId owner, std::vector<WatchHit>* hits);
+                        hv::DomainId owner, std::vector<WatchHit>* hits,
+                        bool shadowed = false);
 
-  // --- Index bookkeeping (both policies; never touches effort counters) -----
-  // Registers a freshly created node with the path index, node/owner counts
-  // and (for local/domain/<id>/name paths) the name index.
+  // --- Index bookkeeping (never touches effort counters) ---------------------
+  // Counts a freshly created node towards node/owner totals and (for
+  // local/domain/<id>/name paths) the name index.
   void RegisterNode(const std::string& canon, Node* node);
-  // Unregisters `node` and its whole subtree ahead of removal.
+  // Uncounts `node` and its whole subtree ahead of removal.
   void UnregisterSubtree(const std::string& canon, Node* node);
   // Sets a node's value, keeping the name index in sync.
   void SetNodeValue(const std::string& canon, Node* node, const std::string& value);
-  static bool IsDomainNamePath(const std::string& canon);
-  void IndexName(const std::string& value, int64_t delta);
+  // The <id> of a local/domain/<id>/name path; empty for any other path.
+  static std::string_view DomainNameKey(const std::string& canon);
+  void IndexName(const std::string& canon, const std::string& value, bool add);
 
   // --- Quota enforcement -----------------------------------------------------
   // Nodes a write to `canon` would create, given the current tree plus the
@@ -220,17 +226,16 @@ class Store {
   Node root_;
   uint64_t gen_ = 1;
   std::unordered_map<std::string, uint64_t> path_gen_;
-  std::vector<Watch> watches_;
   std::unordered_map<TxnId, Txn> txns_;
   TxnId next_txn_ = 1;
   OpEffort effort_;
 
-  // Index structures (see RegisterNode). path_index_ maps every canon path to
-  // its node; watch_index_ buckets watch copies by exact registered prefix;
-  // name_index_ refcounts the values of local/domain/<id>/name nodes.
-  std::unordered_map<std::string, Node*> path_index_;
+  // watch_index_ buckets watches by exact registered prefix; name_index_ maps
+  // each local/domain/<id>/name value to its <id> keys, ordered like the
+  // tree's children so the first key is the first match of the legacy scan.
   std::unordered_map<std::string, std::vector<Watch>> watch_index_;
-  std::unordered_map<std::string, int64_t> name_index_;
+  std::unordered_map<std::string, std::set<std::string, std::less<>>> name_index_;
+  int64_t watch_count_ = 0;
   int64_t watch_seq_ = 0;
   int64_t node_count_ = 0;
   // Deterministic iteration order matters: quota pre-pass failure messages

@@ -484,8 +484,10 @@ void RecordStatus(std::string* out, const lv::Status& s) {
   }
 }
 
+// When `effort` is non-null, one line of the store's six effort counters is
+// appended to it after every op (the price the policy charged for it).
 std::string ApplyStoreOps(xs::StorePolicy policy, const std::vector<StoreOp>& ops,
-                          int64_t quota) {
+                          int64_t quota, std::string* effort = nullptr) {
   xs::Store store(policy);
   store.set_node_quota(quota);
   std::vector<xs::TxnId> open;
@@ -590,6 +592,13 @@ std::string ApplyStoreOps(xs::StorePolicy policy, const std::vector<StoreOp>& op
       out += lv::StrFormat(" o%d=%lld", d, (long long)store.owner_nodes(d));
     }
     out += "\n";
+    if (effort != nullptr) {
+      const xs::OpEffort& e = store.last_effort();
+      *effort += lv::StrFormat("%lld %lld %lld %lld %lld %lld\n", (long long)e.nodes_visited,
+                               (long long)e.watch_checks, (long long)e.watches_fired,
+                               (long long)e.children_listed, (long long)e.names_compared,
+                               (long long)e.value_bytes);
+    }
   }
   return out;
 }
@@ -639,6 +648,32 @@ TEST_P(StorePolicyDifferentialTest, LegacyAndIndexedTranscriptsMatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StorePolicyDifferentialTest, ::testing::Range(1, 101));
+
+// The oracle above compares observables only; the effort counters are the
+// two price lists, and they are what the daemon turns into simulated time.
+// Each policy's per-op effort over the same 100 seeds (quota third included)
+// is hashed and pinned, so a store refactor that keeps every observable but
+// moves a single counter on a single op fails here, not only in the figures.
+uint64_t EffortDigest(xs::StorePolicy policy) {
+  uint64_t hash = 1469598103934665603ull;  // FNV offset basis.
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    std::string effort;
+    (void)ApplyStoreOps(policy, GenStoreOps(seed, 300), (seed % 3 == 0) ? 12 : 0, &effort);
+    for (unsigned char c : effort) {
+      hash ^= c;
+      hash *= 1099511628211ull;  // FNV prime.
+    }
+  }
+  return hash;
+}
+
+TEST(StorePolicyEffortTest, LegacyPriceListIsPinned) {
+  EXPECT_EQ(EffortDigest(xs::StorePolicy::kLegacy), 0x64f51d5034b9f0feull);
+}
+
+TEST(StorePolicyEffortTest, IndexedPriceListIsPinned) {
+  EXPECT_EQ(EffortDigest(xs::StorePolicy::kIndexed), 0x0c6ad13f5a744aedull);
+}
 
 // --- Store permissions -----------------------------------------------------------
 

@@ -355,7 +355,6 @@ TEST(Spec, XenstorePolicyParsedAndValidated) {
 }
 
 TEST(StorePolicyGuard, EveryDefaultIsLegacy) {
-  EXPECT_EQ(xs::CurrentStorePolicy(), xs::StorePolicy::kLegacy);
   EXPECT_EQ(lightvm::Mechanisms{}.xs_policy, xs::StorePolicy::kLegacy);
   EXPECT_EQ(lightvm::Mechanisms::Xl().xs_policy, xs::StorePolicy::kLegacy);
   EXPECT_EQ(lightvm::Mechanisms::ChaosXs().xs_policy, xs::StorePolicy::kLegacy);
@@ -364,13 +363,6 @@ TEST(StorePolicyGuard, EveryDefaultIsLegacy) {
   EXPECT_EQ(xs::Store().policy(), xs::StorePolicy::kLegacy);
   scenario::Spec spec;
   EXPECT_EQ(spec.xenstore_policy, xs::StorePolicy::kLegacy);
-  // The scope restores the previous policy on exit.
-  {
-    xs::StorePolicyScope scope(xs::StorePolicy::kIndexed);
-    EXPECT_EQ(xs::CurrentStorePolicy(), xs::StorePolicy::kIndexed);
-    EXPECT_EQ(xs::Store().policy(), xs::StorePolicy::kIndexed);
-  }
-  EXPECT_EQ(xs::CurrentStorePolicy(), xs::StorePolicy::kLegacy);
 }
 
 TEST(Runner, ExplicitLegacyPolicyIsByteIdenticalAndIndexedIsFaster) {

@@ -22,7 +22,7 @@ class DaemonTest : public ::testing::Test {
   DaemonTest() : cpu_(&engine_, 2) {}
 
   void StartDaemon(Costs costs = Costs()) {
-    daemon_ = std::make_unique<Daemon>(&engine_, costs);
+    daemon_ = std::make_unique<Daemon>(&engine_, StorePolicy::kLegacy, costs);
     daemon_->Start(sim::ExecCtx{&cpu_, 0, sim::kHostOwner});
     client_ = std::make_unique<XsClient>(&engine_, daemon_.get(), hv::kDom0);
   }

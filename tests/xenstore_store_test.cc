@@ -200,6 +200,19 @@ TEST(StoreTest, CheckUniqueNameScansAllDomains) {
   EXPECT_TRUE(store.CheckUniqueName("fresh").ok());
   EXPECT_EQ(store.last_effort().names_compared, 50);
   EXPECT_EQ(store.CheckUniqueName("vm17").code(), ErrorCode::kAlreadyExists);
+  // The scan stops at the first match, in the children's lexicographic
+  // order: 1, 10, 11, ..., 17 is the 9th domain compared.
+  EXPECT_EQ(store.last_effort().names_compared, 9);
+  // Domains 25 and 3 share a name: "25" sorts before "3" (position 18 of
+  // 1, 10..19, 2, 20..25), so 25 ends the scan even though 3 is the lower id.
+  (void)store.Write("/local/domain/3/name", "dup", hv::kDom0);
+  (void)store.Write("/local/domain/25/name", "dup", hv::kDom0);
+  EXPECT_EQ(store.CheckUniqueName("dup").code(), ErrorCode::kAlreadyExists);
+  EXPECT_EQ(store.last_effort().names_compared, 18);
+  // Renaming 25 away leaves 3 (position 23) as the first match.
+  (void)store.Write("/local/domain/25/name", "vm25", hv::kDom0);
+  EXPECT_EQ(store.CheckUniqueName("dup").code(), ErrorCode::kAlreadyExists);
+  EXPECT_EQ(store.last_effort().names_compared, 23);
 }
 
 TEST(StoreTest, CheckUniqueNameEmptyStoreOk) {
@@ -246,6 +259,23 @@ TEST_P(StorePolicyTest, TxnConflictDetectedAndBufferDiscarded) {
   EXPECT_EQ(store_.TxCommit(txn, false, &hits).code(), ErrorCode::kConflict);
   EXPECT_EQ(*store_.Read("/shared"), "external");
   EXPECT_EQ(store_.open_txns(), 0);
+}
+
+TEST_P(StorePolicyTest, UnknownTransactionIsRejectedByEveryOp) {
+  (void)store_.Write("/a/b", "v", hv::kDom0);
+  constexpr TxnId kBogus = 42;
+  std::vector<WatchHit> hits;
+  EXPECT_EQ(store_.Read("/a/b", kBogus).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(store_.Write("/a/c", "v", hv::kDom0, kBogus).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(store_.Rm("/a/b", kBogus).code(), ErrorCode::kInvalidArgument);
+  auto dir = store_.Directory("/a", kBogus);
+  ASSERT_FALSE(dir.ok());
+  EXPECT_EQ(dir.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(dir.error().message, "unknown transaction");
+  EXPECT_EQ(store_.TxCommit(kBogus, false, &hits).code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(hits.empty());
+  EXPECT_EQ(*store_.Read("/a/b"), "v");
 }
 
 TEST_P(StorePolicyTest, WatchSelfFiresOnRegistration) {
@@ -392,6 +422,11 @@ TEST(StoreIndexedTest, ExistingPathLookupIsOneProbe) {
   Store store(StorePolicy::kIndexed);
   (void)store.Write("/a/b/c/d/e", "v", hv::kDom0);
   (void)store.Read("/a/b/c/d/e");
+  EXPECT_EQ(store.last_effort().nodes_visited, 1);
+  // A removal probes the path, then its parent unless that is the root.
+  EXPECT_TRUE(store.Rm("/a/b/c").ok());
+  EXPECT_EQ(store.last_effort().nodes_visited, 2);
+  EXPECT_TRUE(store.Rm("/a").ok());
   EXPECT_EQ(store.last_effort().nodes_visited, 1);
 }
 

@@ -175,9 +175,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n## faults (%lld injected)\n", (long long)injector.injected());
   for (const std::string& line : injector.log()) {
-    if (!line.empty()) {  // unfired events hold empty pre-sized slots
-      std::printf("%s\n", line.c_str());
-    }
+    std::printf("%s\n", line.c_str());
   }
 
   lv::Samples recovery;

@@ -56,6 +56,23 @@ TEST(OpRef, RootsAndChildrenShareOneChain) {
   EXPECT_EQ(grandchild.parent, child.id);
 }
 
+// Op ids come from one process-wide counter in mint order, roots and
+// children alike, and Reset() restarts it: that is what makes same-seed
+// runs mint identical ids.
+TEST(OpRef, IdsAreOneSequenceRestartedByReset) {
+  FlightRecorder::Get().Reset();
+  OpRef a = NewOp();
+  OpRef b = NewOp(a);
+  OpRef c = NewOp();
+  EXPECT_EQ(a.id, 1);
+  EXPECT_EQ(b.id, 2);
+  EXPECT_EQ(c.id, 3);
+  EXPECT_EQ(c.root, c.id);
+
+  FlightRecorder::Get().Reset();
+  EXPECT_EQ(NewOp().id, 1);
+}
+
 TEST(FlightRecorderTest, RingOverwritesOldestFirst) {
   FlightRecorder& recorder = FlightRecorder::Get();
   recorder.Reset();
@@ -75,6 +92,27 @@ TEST(FlightRecorderTest, RingOverwritesOldestFirst) {
   // Other nodes are untouched.
   EXPECT_TRUE(recorder.NodeEvents(1).empty());
   EXPECT_EQ(recorder.Dropped(1), 0);
+}
+
+// Rings grow on demand up to the highest node recorded; nodes that recorded
+// nothing stay out of the dump, and the control plane (node -1) lands on
+// node 0's ring.
+TEST(FlightRecorderTest, DumpListsOnlyNodesThatRecorded) {
+  FlightRecorder& recorder = FlightRecorder::Get();
+  recorder.Reset();
+  recorder.Record(3, {}, "test", "tick", true);
+  recorder.Record(-1, {}, "test", "control", true);
+  ASSERT_EQ(recorder.NodeEvents(0).size(), 1u);
+  EXPECT_EQ(std::string_view(recorder.NodeEvents(0).front().verb), "control");
+  EXPECT_EQ(recorder.NodeEvents(3).size(), 1u);
+
+  std::ostringstream out;
+  recorder.WriteJson(out);
+  const std::string dump = out.str();
+  EXPECT_NE(dump.find("{\"node\":0,"), std::string::npos);
+  EXPECT_NE(dump.find("{\"node\":3,"), std::string::npos);
+  EXPECT_EQ(dump.find("{\"node\":1,"), std::string::npos);
+  EXPECT_EQ(dump.find("{\"node\":2,"), std::string::npos);
 }
 
 // The acceptance scenario for causal tracing: a Deploy whose first placement

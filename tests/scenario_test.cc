@@ -171,68 +171,19 @@ TEST(Spec, MultiNodeOnlyForFleetDeploy) {
   EXPECT_FALSE(fleet.ok());  // fleet-deploy on a single node
 }
 
-TEST(Spec, ShardsParsedAndValidated) {
+// `topology` has no `shards` key: a spec that asks for shards is rejected
+// like any other unknown key instead of silently running on one engine.
+TEST(Spec, ShardsKeyRejectedAsUnknown) {
   auto spec = scenario::ParseSpec(R"({
     "name": "t", "topology": { "nodes": 4, "shards": 4 },
     "workload": { "kind": "fleet-deploy", "vms": 10,
                   "policies": ["least-loaded"] }
   })");
-  ASSERT_TRUE(spec.ok()) << spec.error().ToString();
-  EXPECT_EQ(spec->topology.shards, 4);
-
-  // Defaults to the classic single-engine path.
-  auto plain = scenario::ParseSpec(R"({
-    "name": "t", "topology": { "nodes": 2 },
-    "workload": { "kind": "fleet-deploy", "vms": 10,
-                  "policies": ["least-loaded"] }
-  })");
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain->topology.shards, 0);
-
-  // Sharded execution needs a cluster: one node has no cross-domain
-  // parallelism to exploit (and no fleet-deploy workload to run).
-  EXPECT_FALSE(scenario::ParseSpec(R"({
-    "name": "t", "topology": { "nodes": 1, "shards": 2 },
-    "workload": { "kind": "sequential-boots",
-                  "guests": [ { "image": "daytime", "count": 1 } ] }
-  })").ok());
-
-  // At most one shard per time domain (nodes + control).
-  EXPECT_FALSE(scenario::ParseSpec(R"({
-    "name": "t", "topology": { "nodes": 2, "shards": 4 },
-    "workload": { "kind": "fleet-deploy", "vms": 10,
-                  "policies": ["least-loaded"] }
-  })").ok());
-
-  EXPECT_FALSE(scenario::ParseSpec(R"({
-    "name": "t", "topology": { "nodes": 2, "shards": -1 },
-    "workload": { "kind": "fleet-deploy", "vms": 10,
-                  "policies": ["least-loaded"] }
-  })").ok());
-}
-
-// The sharded fleet path through the runner: same spec + same seed must be
-// byte-identical run-to-run (the runner's internal single-shard reference
-// pass additionally pins it to the sequential schedule on every run).
-TEST(Runner, ShardedFleetByteIdentical) {
-  auto spec = scenario::ParseSpec(R"({
-    "name": "t", "mechanisms": "lightvm",
-    "topology": { "nodes": 2, "host": { "preset": "xeon4" }, "shards": 2 },
-    "workload": { "kind": "fleet-deploy", "image": "daytime", "vms": 24,
-                  "concurrency": 4, "policies": ["least-loaded"] }
-  })");
-  ASSERT_TRUE(spec.ok()) << spec.error().ToString();
-
-  std::string tables[2];
-  for (int i = 0; i < 2; ++i) {
-    std::ostringstream out;
-    auto result = scenario::Run(*spec, {}, out);
-    ASSERT_TRUE(result.ok()) << result.error().ToString();
-    tables[i] = out.str();
-  }
-  EXPECT_EQ(tables[0], tables[1]);
-  EXPECT_NE(tables[0].find("reference: single-shard placement hash match ok"),
-            std::string::npos);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.error().code, lv::ErrorCode::kInvalidArgument);
+  EXPECT_NE(spec.error().ToString().find("unknown key 'shards' in topology"),
+            std::string::npos)
+      << spec.error().ToString();
 }
 
 TEST(Spec, UnknownNamesRejected) {

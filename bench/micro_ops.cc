@@ -36,6 +36,31 @@ void BM_StoreWriteWithWatches(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreWriteWithWatches)->Arg(100)->Arg(1000)->Arg(4000);
 
+// Releasing one client of n, each watching three prefixes of its own; the
+// client's watches are re-registered off the clock.
+void BM_StoreRemoveClientWatches(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  xs::Store store;
+  auto watch = [&store](int64_t c) {
+    std::string self = lv::StrFormat("/local/domain/%lld", (long long)c);
+    store.AddWatch(c, self + "/control/shutdown", "control");
+    store.AddWatch(c, self + "/memory/target", "balloon");
+    store.AddWatch(c, self + "/data", "data");
+  };
+  for (int64_t c = 1; c <= n; ++c) {
+    watch(c);
+  }
+  int64_t client = 0;
+  for (auto _ : state) {
+    client = client % n + 1;
+    store.RemoveClientWatches(client);
+    state.PauseTiming();
+    watch(client);
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_StoreRemoveClientWatches)->Arg(1000);
+
 void BM_TransactionCommit(benchmark::State& state) {
   xs::Store store;
   std::vector<xs::WatchHit> hits;
@@ -68,6 +93,22 @@ void BM_CoroutineRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoroutineRoundTrip);
+
+// Two jobs sharing one core: each Submit and each completion cancels and
+// re-plans the core's completion event.
+void BM_CpuSchedulerShare(benchmark::State& state) {
+  sim::Engine engine;
+  sim::CpuScheduler cpu(&engine, 1);
+  auto job = [](sim::CpuScheduler& c, lv::Duration work) -> sim::Co<void> {
+    co_await c.Run(0, work);
+  };
+  for (auto _ : state) {
+    engine.Spawn(job(cpu, lv::Duration::Micros(10)));
+    engine.Spawn(job(cpu, lv::Duration::Micros(20)));
+    engine.Run();
+  }
+}
+BENCHMARK(BM_CpuSchedulerShare);
 
 void BM_Hypercall(benchmark::State& state) {
   sim::Engine engine;

@@ -10,7 +10,9 @@
 //   --json         machine-readable results (lightvm-bench/1 schema)
 //   --trace-out    Chrome trace_event JSON of the final engine epoch
 //   --metrics-out  metrics-registry snapshot at end of run
-//   --flight-out   flight-recorder dump, written only when the run fails
+//   --flight-out   flight-recorder dump, written when the run fails and also
+//                  when a Deploy loses its node twice (deploy.dead), which
+//                  a passing chaos run can do
 //   --check        parse + validate the spec; when the spec carries an `slo`
 //                  section, additionally run it and fail (non-zero exit) on
 //                  any violated bound
@@ -34,7 +36,9 @@ namespace {
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <spec.json> [--json=<file>] [--trace-out=<file>] "
-               "[--metrics-out=<file>] [--flight-out=<file>] [--check]\n",
+               "[--metrics-out=<file>] [--flight-out=<file>] [--check]\n"
+               "  --flight-out writes a dump on failure and on any deploy.dead "
+               "(a Deploy whose node died twice), even in a passing run\n",
                argv0);
   std::exit(2);
 }

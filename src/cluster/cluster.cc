@@ -134,8 +134,7 @@ sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
     // Commit the budget before the first suspension point: a concurrent
     // Deploy sees this VM's reservation even though the create is in flight.
     Node& node = nodes_[pick];
-    Placement placement{config.image.memory, config.vcpus, config};
-    placement.op = op;
+    Placement placement{config.image.memory, config.vcpus, config, op};
     const int64_t gen = node.generation;
     recorder.Record(pick, op, "cluster", "deploy", true, placement_round);
     node.memory_committed += placement.memory;

@@ -105,8 +105,8 @@ class FlightRecorder {
   bool DumpJson(const std::string& path) const;
 
   // Where MaybeDump() writes; empty disables it. Benches set this from
-  // --flight-out; the failure hooks call MaybeDump() so a dump appears
-  // exactly when the run goes red.
+  // --flight-out; the failure hooks call MaybeDump(), and so does a Deploy
+  // whose node died twice (deploy.dead), which a passing chaos run can hit.
   void set_dump_path(std::string path) { dump_path_ = std::move(path); }
   const std::string& dump_path() const { return dump_path_; }
   void MaybeDump() const;

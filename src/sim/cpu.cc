@@ -79,7 +79,7 @@ void CpuScheduler::Advance(Core& core) {
   double share = elapsed / static_cast<double>(core.active.size());
   for (Job& job : core.active) {
     job.remaining_ns -= share;
-    consumed_ns_[job.owner] += share;
+    *job.consumed_ns += share;
   }
   core.busy_ns += elapsed;
   core.window_busy_ns += elapsed;
@@ -103,19 +103,19 @@ void CpuScheduler::Reschedule(int core_idx) {
 void CpuScheduler::OnCompletion(int core_idx) {
   Core& core = cores_[static_cast<size_t>(core_idx)];
   Advance(core);
-  std::vector<std::coroutine_handle<>> done;
+  done_.clear();
   auto it = core.active.begin();
   while (it != core.active.end()) {
     if (it->remaining_ns <= kEpsilonNs) {
-      done.push_back(it->handle);
+      done_.push_back(it->handle);
       it = core.active.erase(it);
     } else {
       ++it;
     }
   }
   Reschedule(core_idx);
-  for (std::coroutine_handle<> h : done) {
-    engine_->Schedule(Duration(), [h] { h.resume(); });
+  for (std::coroutine_handle<> h : done_) {
+    engine_->ScheduleResume(Duration(), h);
   }
 }
 
@@ -124,7 +124,7 @@ void CpuScheduler::Submit(int core_idx, Duration work, CpuOwner owner,
   LV_CHECK(core_idx >= 0 && core_idx < num_cores());
   Core& core = cores_[static_cast<size_t>(core_idx)];
   Advance(core);
-  core.active.push_back(Job{static_cast<double>(work.ns()), owner, h});
+  core.active.push_back(Job{static_cast<double>(work.ns()), &consumed_ns_[owner], h});
   Reschedule(core_idx);
 }
 

@@ -72,7 +72,9 @@ class CpuScheduler {
  private:
   struct Job {
     double remaining_ns;
-    CpuOwner owner;
+    // The owner's consumed_ns_ entry (unordered_map references are stable),
+    // so charging a slice does not hash once per job.
+    double* consumed_ns;
     std::coroutine_handle<> handle;
   };
   struct Core {
@@ -94,6 +96,8 @@ class CpuScheduler {
   std::vector<Core> cores_;
   std::unordered_map<CpuOwner, double> consumed_ns_;
   TimePoint window_start_;
+  // OnCompletion's scratch list of finished jobs, kept to reuse its capacity.
+  std::vector<std::coroutine_handle<>> done_;
 };
 
 // Execution context: which core a control-plane coroutine is running on and

@@ -1,5 +1,7 @@
 #include "src/sim/engine.h"
 
+#include <algorithm>
+
 #include "src/base/log.h"
 #include "src/obs/obs.h"
 #include "src/trace/trace.h"
@@ -35,45 +37,102 @@ Engine::~Engine() {
   obs::FlightRecorder::Get().DetachClock();
 }
 
-EventHandle Engine::ScheduleAt(TimePoint when, std::function<void()> fn) {
+uint32_t Engine::Push(TimePoint when) {
   LV_CHECK_MSG(when >= now_, "cannot schedule an event in the simulated past");
-  auto ev = std::make_unique<Event>();
-  ev->when = when;
-  ev->seq = next_seq_++;
-  ev->fn = std::move(fn);
-  ev->state = std::make_shared<EventHandle::State>();
-  ev->state->owner = this;
-  EventHandle handle{std::weak_ptr<EventHandle::State>(ev->state)};
-  queue_.push(std::move(ev));
-  return handle;
-}
-
-void Engine::NoteCancelled() {
-  ++cancelled_pending_;
-  // Lazy compaction: once dead entries dominate, the heap mostly shuffles
-  // garbage — rebuild it. The floor keeps tiny queues (where pops drain the
-  // dead entries for free) from compacting on every other Cancel.
-  if (queue_.size() >= 64 && cancelled_pending_ * 2 > queue_.size()) {
-    Compact();
+  uint32_t s = free_head_;
+  if (s != kNotQueued) {
+    free_head_ = slots_[s].next_free;
+  } else {
+    LV_CHECK_MSG(slots_.size() < kNotQueued, "too many pending events");
+    s = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Entry{when, next_seq_++, s});
+  return s;
 }
 
-void Engine::Compact() {
-  std::vector<std::unique_ptr<Event>> live;
-  live.reserve(queue_.size() - cancelled_pending_);
-  while (!queue_.empty()) {
-    auto& top = const_cast<std::unique_ptr<Event>&>(queue_.top());
-    std::unique_ptr<Event> ev = std::move(top);
-    queue_.pop();
-    if (!ev->state->cancelled) {
-      live.push_back(std::move(ev));
-    } else {
-      ev->state->owner = nullptr;
+EventHandle Engine::ScheduleAt(TimePoint when, std::function<void()> fn) {
+  uint32_t s = Push(when);
+  slots_[s].fn = std::move(fn);
+  return EventHandle(this, s, slots_[s].generation);
+}
+
+EventHandle Engine::ScheduleResume(Duration delay, std::coroutine_handle<> h) {
+  uint32_t s = Push(now_ + delay);
+  slots_[s].resume = h;
+  return EventHandle(this, s, slots_[s].generation);
+}
+
+void Engine::Cancel(uint32_t slot, uint64_t generation) {
+  if (!Pending(slot, generation)) {
+    return;
+  }
+  EraseAt(slots_[slot].heap_pos);
+  // The callback dies after the bookkeeping: its captures' destructors may
+  // schedule or cancel in turn.
+  std::function<void()> dead;
+  dead.swap(slots_[slot].fn);
+  Release(slot);
+}
+
+void Engine::Release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.resume = nullptr;
+  s.heap_pos = kNotQueued;
+  ++s.generation;
+  s.next_free = free_head_;
+  free_head_ = slot;
+}
+
+// 4-ary heap: the children of i are 4i+1 .. 4i+4. A wider node halves the
+// depth of a binary heap, and a node's children sit side by side.
+void Engine::SiftUp(size_t pos, Entry e) {
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 4;
+    if (!Before(e, heap_[parent])) {
+      break;
     }
+    Place(pos, heap_[parent]);
+    pos = parent;
   }
-  queue_ = decltype(queue_)(Later{}, std::move(live));
-  cancelled_pending_ = 0;
-  ++compactions_;
+  Place(pos, e);
+}
+
+void Engine::SiftDown(size_t pos, Entry e) {
+  const size_t n = heap_.size();
+  while (true) {
+    size_t first = 4 * pos + 1;
+    if (first >= n) {
+      break;
+    }
+    size_t best = first;
+    size_t last = std::min(first + 4, n);
+    for (size_t c = first + 1; c < last; ++c) {
+      if (Before(heap_[c], heap_[best])) {
+        best = c;
+      }
+    }
+    if (!Before(heap_[best], e)) {
+      break;
+    }
+    Place(pos, heap_[best]);
+    pos = best;
+  }
+  Place(pos, e);
+}
+
+void Engine::EraseAt(size_t pos) {
+  Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) {
+    return;
+  }
+  if (pos > 0 && Before(last, heap_[(pos - 1) / 4])) {
+    SiftUp(pos, last);
+  } else {
+    SiftDown(pos, last);
+  }
 }
 
 void Engine::Spawn(Co<void> task) {
@@ -93,30 +152,29 @@ void Engine::ReapDetached(void* ctx, uint64_t id) {
   static_cast<Engine*>(ctx)->detached_frames_.erase(id);
 }
 
-std::unique_ptr<Engine::Event> Engine::PopNext() {
-  while (!queue_.empty()) {
-    // priority_queue::top() is const; move is safe because we pop right away.
-    auto& top = const_cast<std::unique_ptr<Event>&>(queue_.top());
-    std::unique_ptr<Event> ev = std::move(top);
-    queue_.pop();
-    ev->state->owner = nullptr;
-    if (!ev->state->cancelled) {
-      return ev;
-    }
-    --cancelled_pending_;
+void Engine::FireTop() {
+  const Entry top = heap_[0];
+  EraseAt(0);
+  now_ = top.when;
+  ++processed_;
+  trace::Count("engine.events", 1);
+  Slot& s = slots_[top.slot];
+  if (std::coroutine_handle<> h = s.resume) {
+    Release(top.slot);
+    h.resume();
+    return;
   }
-  return nullptr;
+  std::function<void()> fn;
+  fn.swap(s.fn);
+  Release(top.slot);
+  fn();
 }
 
 bool Engine::Step() {
-  std::unique_ptr<Event> ev = PopNext();
-  if (!ev) {
+  if (heap_.empty()) {
     return false;
   }
-  now_ = ev->when;
-  ++processed_;
-  trace::Count("engine.events", 1);
-  ev->fn();
+  FireTop();
   return true;
 }
 
@@ -126,27 +184,12 @@ void Engine::Run() {
 }
 
 void Engine::RunUntil(TimePoint t) {
-  while (true) {
-    std::unique_ptr<Event> ev = PopNext();
-    if (!ev) {
-      break;
-    }
-    if (ev->when > t) {
-      // Put it back; it stays pending beyond the horizon.
-      ev->state->owner = this;
-      queue_.push(std::move(ev));
-      break;
-    }
-    now_ = ev->when;
-    ++processed_;
-    trace::Count("engine.events", 1);
-    ev->fn();
+  while (!heap_.empty() && heap_[0].when <= t) {
+    FireTop();
   }
   if (now_ < t) {
     now_ = t;
   }
 }
-
-size_t Engine::pending_events() const { return queue_.size(); }
 
 }  // namespace sim

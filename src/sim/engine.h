@@ -1,13 +1,21 @@
 // Discrete-event simulation engine: a simulated clock plus an ordered event
 // queue. All LightVM components run on top of one Engine; time only advances
 // when the engine processes events, so runs are exactly reproducible.
+//
+// Event core. The queue allocates nothing in steady state (a callback whose
+// captures overflow std::function's inline buffer still allocates when it is
+// built). Each pending event owns a slot in a recycled slot vector (callback
+// or coroutine handle, generation, heap position). The queue is a 4-ary
+// min-heap of small {when, seq, slot} values, and every slot knows its heap
+// position, so Cancel removes its entry at once in O(log n). Events fire in
+// (when, seq) order, seq being the schedule order, so equal-time events run
+// FIFO.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <queue>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -22,26 +30,29 @@ using lv::TimePoint;
 class Engine;
 
 // Handle to a scheduled event; allows cancellation (used by the CPU
-// scheduler to re-plan core completion events).
+// scheduler to re-plan core completion events). A handle names its slot and
+// the slot's generation, so once the event fires or is cancelled the handle
+// goes stale and never touches the slot's next occupant.
+//
+// Lifetime rule: a non-empty handle must not be cancelled (or queried)
+// after its engine is destroyed. Owners of handles (CPU schedulers, sync
+// primitives' awaiters, guests) are torn down before their engine.
 class EventHandle {
  public:
   EventHandle() = default;
-  // Defined after Engine: a first-time Cancel tells the owning engine so it
-  // can compact the queue once dead entries dominate.
+  // Removes the event from the queue if it is still pending; a no-op on a
+  // fired, cancelled or empty handle.
   inline void Cancel();
-  bool valid() const { return !state_.expired(); }
+  // True while the event is pending (scheduled, not yet fired or cancelled).
+  inline bool valid() const;
 
  private:
   friend class Engine;
-  struct State {
-    bool cancelled = false;
-    // Owning engine while the event sits in the queue; cleared when the
-    // event is popped (cancelling a running event is a no-op for the
-    // dead-entry bookkeeping).
-    Engine* owner = nullptr;
-  };
-  explicit EventHandle(std::weak_ptr<State> s) : state_(std::move(s)) {}
-  std::weak_ptr<State> state_;
+  EventHandle(Engine* engine, uint32_t slot, uint64_t generation)
+      : engine_(engine), slot_(slot), generation_(generation) {}
+  Engine* engine_ = nullptr;
+  uint32_t slot_ = 0;
+  uint64_t generation_ = 0;
 };
 
 class Engine {
@@ -58,6 +69,9 @@ class Engine {
     return ScheduleAt(now_ + delay, std::move(fn));
   }
   EventHandle ScheduleAt(TimePoint when, std::function<void()> fn);
+  // Resumes coroutine `h` after `delay`: the wake-up of every suspension
+  // point, without wrapping the handle in a callback.
+  EventHandle ScheduleResume(Duration delay, std::coroutine_handle<> h);
 
   // Starts a detached coroutine task. It runs synchronously until its first
   // suspension point; its frame is reclaimed automatically on completion.
@@ -69,9 +83,7 @@ class Engine {
     Engine* engine;
     Duration d;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      engine->Schedule(d, [h] { h.resume(); });
-    }
+    void await_suspend(std::coroutine_handle<> h) { engine->ScheduleResume(d, h); }
     void await_resume() const noexcept {}
   };
   SleepAwaiter Sleep(Duration d) { return SleepAwaiter{this, d}; }
@@ -85,40 +97,54 @@ class Engine {
   // Processes a single event. Returns false if the queue was empty.
   bool Step();
 
-  size_t pending_events() const;
+  // Events scheduled and neither fired nor cancelled.
+  size_t pending_events() const { return heap_.size(); }
   uint64_t processed_events() const { return processed_; }
-
-  // Cancelled entries still sitting in the queue. EventHandle::Cancel only
-  // marks; the entry stays until popped or until lazy compaction rebuilds
-  // the heap (triggered when dead entries exceed half the queue).
-  size_t cancelled_pending() const { return cancelled_pending_; }
-  uint64_t compactions() const { return compactions_; }
 
  private:
   friend class EventHandle;
-  struct Event {
+  static constexpr uint32_t kNotQueued = UINT32_MAX;
+
+  // One pending event's payload. Exactly one of `fn` and `resume` is set.
+  // A free slot has heap_pos == kNotQueued and links the free list through
+  // next_free; its generation advances on every release.
+  struct Slot {
+    std::function<void()> fn;
+    std::coroutine_handle<> resume;
+    uint64_t generation = 0;
+    uint32_t heap_pos = kNotQueued;
+    uint32_t next_free = kNotQueued;
+  };
+  struct Entry {
     TimePoint when;
     uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<EventHandle::State> state;
+    uint32_t slot;
   };
-  struct Later {
-    bool operator()(const std::unique_ptr<Event>& a, const std::unique_ptr<Event>& b) const {
-      if (a->when != b->when) {
-        return a->when > b->when;
-      }
-      return a->seq > b->seq;
-    }
-  };
+  static bool Before(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
 
-  // Pops the next non-cancelled event, or nullptr.
-  std::unique_ptr<Event> PopNext();
-
-  // First-time Cancel of a queued event; compacts when dead entries exceed
-  // half the queue (and the queue is big enough for the rebuild to pay off).
-  void NoteCancelled();
-  // Rebuilds the heap without the cancelled entries.
-  void Compact();
+  // Claims a slot and queues it at `when`; the caller fills in the payload.
+  uint32_t Push(TimePoint when);
+  // Cancel's body: removes a still-pending event and frees its slot.
+  void Cancel(uint32_t slot, uint64_t generation);
+  // Slots are never dropped, so a handle's slot index is always in range.
+  bool Pending(uint32_t slot, uint64_t generation) const {
+    return slots_[slot].generation == generation && slots_[slot].heap_pos != kNotQueued;
+  }
+  // Removes the heap entry at `pos`, restoring the heap around it.
+  void EraseAt(size_t pos);
+  void SiftUp(size_t pos, Entry e);
+  void SiftDown(size_t pos, Entry e);
+  void Place(size_t pos, const Entry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].heap_pos = static_cast<uint32_t>(pos);
+  }
+  void Release(uint32_t slot);
+  // Pops the earliest event, advances the clock to it and runs it. The
+  // payload is moved out and the slot released before the call, since the
+  // callback may schedule (and so grow or reuse the slot vector).
+  void FireTop();
 
   // Deregisters a detached frame that reached its final suspend (see
   // PromiseBase::reap).
@@ -127,9 +153,9 @@ class Engine {
   TimePoint now_;
   uint64_t next_seq_ = 0;
   uint64_t processed_ = 0;
-  size_t cancelled_pending_ = 0;
-  uint64_t compactions_ = 0;
-  std::priority_queue<std::unique_ptr<Event>, std::vector<std::unique_ptr<Event>>, Later> queue_;
+  std::vector<Slot> slots_;
+  uint32_t free_head_ = kNotQueued;
+  std::vector<Entry> heap_;
   lv::Rng rng_;
   // Live detached frames by spawn order: a frame still parked on the queue
   // when the engine dies is unreachable any other way, so ~Engine destroys
@@ -139,14 +165,13 @@ class Engine {
 };
 
 inline void EventHandle::Cancel() {
-  if (auto s = state_.lock()) {
-    if (!s->cancelled) {
-      s->cancelled = true;
-      if (s->owner != nullptr) {
-        s->owner->NoteCancelled();
-      }
-    }
+  if (engine_ != nullptr) {
+    engine_->Cancel(slot_, generation_);
   }
+}
+
+inline bool EventHandle::valid() const {
+  return engine_ != nullptr && engine_->Pending(slot_, generation_);
 }
 
 }  // namespace sim

@@ -1,7 +1,6 @@
 #include "src/xenstore/store.h"
 
 #include <algorithm>
-#include <iterator>
 #include <unordered_set>
 
 #include "src/base/strings.h"
@@ -461,6 +460,7 @@ WatchHit Store::AddWatch(ClientId client, const std::string& path, const std::st
   effort_.Reset();
   std::string canon = Canon(path);
   watch_index_[canon].push_back(Watch{client, canon, token, watch_seq_++});
+  client_prefixes_[client].push_back(canon);
   ++watch_count_;
   // XenStore fires a watch immediately upon registration.
   return WatchHit{client, canon, token, canon};
@@ -473,21 +473,45 @@ void Store::RemoveWatch(ClientId client, const std::string& path, const std::str
   if (bucket == watch_index_.end()) {
     return;
   }
-  watch_count_ -= static_cast<int64_t>(std::erase_if(bucket->second, [&](const Watch& w) {
+  size_t removed = std::erase_if(bucket->second, [&](const Watch& w) {
     return w.client == client && w.token == token;
-  }));
+  });
+  watch_count_ -= static_cast<int64_t>(removed);
   if (bucket->second.empty()) {
     watch_index_.erase(bucket);
+  }
+  // One prefix entry per removed watch.
+  if (removed > 0) {
+    std::vector<std::string>& prefixes = client_prefixes_[client];
+    for (size_t i = 0; i < removed; ++i) {
+      prefixes.erase(std::find(prefixes.begin(), prefixes.end(), canon));
+    }
+    if (prefixes.empty()) {
+      client_prefixes_.erase(client);
+    }
   }
 }
 
 void Store::RemoveClientWatches(ClientId client) {
   effort_.Reset();
-  for (auto it = watch_index_.begin(); it != watch_index_.end();) {
-    watch_count_ -= static_cast<int64_t>(
-        std::erase_if(it->second, [&](const Watch& w) { return w.client == client; }));
-    it = it->second.empty() ? watch_index_.erase(it) : std::next(it);
+  auto prefixes = client_prefixes_.find(client);
+  if (prefixes == client_prefixes_.end()) {
+    return;
   }
+  // A prefix the client watches twice is listed twice; its bucket is
+  // already clean (or gone) on the second visit.
+  for (const std::string& prefix : prefixes->second) {
+    auto bucket = watch_index_.find(prefix);
+    if (bucket == watch_index_.end()) {
+      continue;
+    }
+    watch_count_ -= static_cast<int64_t>(
+        std::erase_if(bucket->second, [&](const Watch& w) { return w.client == client; }));
+    if (bucket->second.empty()) {
+      watch_index_.erase(bucket);
+    }
+  }
+  client_prefixes_.erase(prefixes);
 }
 
 std::vector<WatchHit> Store::ReplayWatches() {

@@ -230,10 +230,13 @@ class Store {
   TxnId next_txn_ = 1;
   OpEffort effort_;
 
-  // watch_index_ buckets watches by exact registered prefix; name_index_ maps
-  // each local/domain/<id>/name value to its <id> keys, ordered like the
-  // tree's children so the first key is the first match of the legacy scan.
+  // watch_index_ buckets watches by exact registered prefix, and
+  // client_prefixes_ lists each client's prefixes (one entry per watch) so
+  // releasing a client visits only its own buckets; name_index_ maps each
+  // local/domain/<id>/name value to its <id> keys, ordered like the tree's
+  // children so the first key is the first match of the legacy scan.
   std::unordered_map<std::string, std::vector<Watch>> watch_index_;
+  std::unordered_map<ClientId, std::vector<std::string>> client_prefixes_;
   std::unordered_map<std::string, std::set<std::string, std::less<>>> name_index_;
   int64_t watch_count_ = 0;
   int64_t watch_seq_ = 0;

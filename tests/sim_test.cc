@@ -2,6 +2,10 @@
 // processor-sharing CPU scheduler.
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/cpu.h"
@@ -382,42 +386,192 @@ TEST(CorePlacerTest, MultipleDom0Cores) {
   EXPECT_EQ(placer.num_guest_cores(), 60);
 }
 
-// --- Cancelled-event compaction ---------------------------------------------
+// --- Event core: eager cancel, generation handles -----------------------------
 
-TEST(EngineTest, CancelTracksPendingCount) {
+TEST(EngineTest, CancelDropsPendingCountAtOnce) {
   Engine engine;
   std::vector<EventHandle> handles;
   for (int i = 0; i < 10; ++i) {
     handles.push_back(engine.Schedule(Duration::Millis(i + 1), [] {}));
   }
-  EXPECT_EQ(engine.cancelled_pending(), 0u);
+  EXPECT_EQ(engine.pending_events(), 10u);
   handles[3].Cancel();
-  handles[7].Cancel();
-  handles[7].Cancel();  // double cancel counts once
-  EXPECT_EQ(engine.cancelled_pending(), 2u);
+  EXPECT_EQ(engine.pending_events(), 9u);
+  EXPECT_FALSE(handles[3].valid());
+  EXPECT_TRUE(handles[7].valid());
+  handles[0].Cancel();
+  handles[9].Cancel();
+  EXPECT_EQ(engine.pending_events(), 7u);
   engine.Run();
-  EXPECT_EQ(engine.cancelled_pending(), 0u);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.processed_events(), 7u);
+  EXPECT_EQ(engine.now().ms(), 9.0);
 }
 
-TEST(EngineTest, CompactionReclaimsCancelledBacklog) {
+TEST(EngineTest, DoubleCancelAndCancelAfterFireAreNoOps) {
   Engine engine;
-  std::vector<EventHandle> handles;
-  int ran = 0;
-  for (int i = 0; i < 256; ++i) {
-    handles.push_back(
-        engine.Schedule(Duration::Millis(i + 1), [&ran] { ++ran; }));
-  }
-  // Cancel well past the half-dead threshold; compaction must trigger
-  // without the engine running at all. A handful of dead entries may remain
-  // once the queue shrinks below the compaction floor.
-  for (int i = 0; i < 200; ++i) {
-    handles[i].Cancel();
-  }
-  EXPECT_GE(engine.compactions(), 1u);
-  EXPECT_LT(engine.cancelled_pending(), 64u);
+  std::vector<int> ran;
+  EventHandle a = engine.Schedule(Duration::Millis(1), [&] { ran.push_back(1); });
+  EventHandle b = engine.Schedule(Duration::Millis(2), [&] { ran.push_back(2); });
+  engine.Schedule(Duration::Millis(3), [&] { ran.push_back(3); });
+  b.Cancel();
+  b.Cancel();
+  EXPECT_EQ(engine.pending_events(), 2u);
+  ASSERT_TRUE(engine.Step());
+  EXPECT_FALSE(a.valid());
+  a.Cancel();  // already fired
+  EXPECT_EQ(engine.pending_events(), 1u);
   engine.Run();
-  EXPECT_EQ(ran, 56);
-  EXPECT_EQ(engine.cancelled_pending(), 0u);
+  EXPECT_EQ(ran, (std::vector<int>{1, 3}));
+}
+
+TEST(EngineTest, StaleHandleLeavesRecycledSlotAlone) {
+  Engine engine;
+  bool first = false;
+  bool second = false;
+  EventHandle stale = engine.Schedule(Duration::Millis(1), [&] { first = true; });
+  stale.Cancel();
+  // The freed slot is reused by the next event; the old handle must not
+  // reach it, before or after it fires.
+  EventHandle fresh = engine.Schedule(Duration::Millis(1), [&] { second = true; });
+  stale.Cancel();
+  EXPECT_FALSE(stale.valid());
+  EXPECT_TRUE(fresh.valid());
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.Run();
+  EXPECT_FALSE(first);
+  EXPECT_TRUE(second);
+
+  // Same once the first occupant fired rather than being cancelled.
+  int fired = 0;
+  EventHandle done = engine.Schedule(Duration::Millis(1), [&] { ++fired; });
+  engine.Run();
+  EventHandle next = engine.Schedule(Duration::Millis(1), [&] { fired += 10; });
+  done.Cancel();
+  EXPECT_TRUE(next.valid());
+  engine.Run();
+  EXPECT_EQ(fired, 11);
+}
+
+TEST(EngineTest, CancelFromInsideACallbackRemovesTheOtherEvent) {
+  Engine engine;
+  std::vector<int> ran;
+  EventHandle later = engine.Schedule(Duration::Millis(2), [&] { ran.push_back(2); });
+  engine.Schedule(Duration::Millis(1), [&] {
+    ran.push_back(1);
+    later.Cancel();
+    // Scheduling from a callback may grow the slot vector.
+    for (int i = 0; i < 100; ++i) {
+      engine.Schedule(Duration::Millis(5), [&ran, i] { ran.push_back(100 + i); });
+    }
+  });
+  engine.Run();
+  ASSERT_EQ(ran.size(), 101u);
+  EXPECT_EQ(ran[0], 1);
+  EXPECT_EQ(ran[1], 100);
+  EXPECT_EQ(ran[100], 199);
+}
+
+// Random mixes of Schedule / ScheduleAt / ScheduleResume / Cancel / Step /
+// RunUntil must fire exactly the events, at exactly the times and in exactly
+// the order, of a reference map keyed by (when, schedule order).
+struct Waker {
+  struct promise_type {
+    Waker get_return_object() { return {}; }
+    std::suspend_never initial_suspend() noexcept { return {}; }
+    std::suspend_never final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { std::terminate(); }
+  };
+};
+
+struct Park {
+  std::coroutine_handle<>* out;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { *out = h; }
+  void await_resume() const noexcept {}
+};
+
+// Parks at once; once resumed it runs `on_wake` and its frame frees itself.
+Waker ParkThen(Park park, std::function<void()> on_wake) {
+  co_await park;
+  on_wake();
+}
+
+TEST(EngineTest, RandomOperationsMatchReferenceOrder) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Engine engine(seed);
+    lv::Rng rng(seed * 7919);
+    using Key = std::pair<int64_t, uint64_t>;  // (when, seq)
+    std::map<Key, size_t> model;               // pending event ids
+    std::vector<Key> keys;                     // per id
+    std::vector<EventHandle> handles;          // per id
+    std::vector<std::coroutine_handle<>> frames;  // per id; null for callbacks
+    std::vector<std::pair<size_t, int64_t>> fired;  // (id, now) as run
+    std::vector<std::pair<size_t, int64_t>> expected;
+    uint64_t seq = 0;
+
+    auto schedule = [&](int64_t kind, int64_t delay_ns) {
+      size_t id = handles.size();
+      int64_t when = engine.now().ns() + delay_ns;
+      auto record = [&fired, &engine, id] { fired.emplace_back(id, engine.now().ns()); };
+      std::coroutine_handle<> frame;
+      if (kind == 0) {
+        handles.push_back(engine.Schedule(Duration::Nanos(delay_ns), record));
+      } else if (kind == 1) {
+        handles.push_back(engine.ScheduleAt(TimePoint::FromNanos(when), record));
+      } else {
+        ParkThen(Park{&frame}, record);
+        handles.push_back(engine.ScheduleResume(Duration::Nanos(delay_ns), frame));
+      }
+      frames.push_back(frame);
+      keys.emplace_back(when, seq);
+      model.emplace(Key{when, seq++}, id);
+    };
+    auto model_pop = [&] {
+      expected.emplace_back(model.begin()->second, model.begin()->first.first);
+      model.erase(model.begin());
+    };
+
+    for (int op = 0; op < 10000; ++op) {
+      int64_t r = rng.Uniform(0, 99);
+      if (r < 45) {
+        // Many zero and small delays, so equal-time ties are common.
+        int64_t delay = rng.Chance(0.25) ? 0 : rng.Uniform(0, 50);
+        schedule(rng.Uniform(0, 2), delay);
+      } else if (r < 65 && !handles.empty()) {
+        // Any id: pending, already fired or already cancelled.
+        size_t id = static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(handles.size()) - 1));
+        handles[id].Cancel();
+        auto it = model.find(keys[id]);
+        if (it != model.end()) {
+          model.erase(it);
+          if (frames[id]) {
+            frames[id].destroy();  // its wake-up is gone; nothing will resume it
+          }
+        }
+      } else if (r < 90) {
+        EXPECT_EQ(engine.Step(), !model.empty());
+        if (!model.empty()) {
+          model_pop();
+        }
+      } else {
+        int64_t t = engine.now().ns() + rng.Uniform(0, 40);
+        engine.RunUntil(TimePoint::FromNanos(t));
+        while (!model.empty() && model.begin()->first.first <= t) {
+          model_pop();
+        }
+        EXPECT_EQ(engine.now().ns(), t);
+      }
+      ASSERT_EQ(engine.pending_events(), model.size()) << "seed " << seed << " op " << op;
+    }
+    engine.Run();
+    while (!model.empty()) {
+      model_pop();
+    }
+    EXPECT_GT(fired.size(), 1000u);
+    EXPECT_EQ(fired, expected) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -301,6 +301,40 @@ TEST_P(StorePolicyTest, ReplayWatchesPreservesRegistrationOrder) {
   EXPECT_EQ(replay[2].fired_path, "c");
 }
 
+TEST_P(StorePolicyTest, RemoveClientWatchesReleasesOnlyThatClient) {
+  store_.AddWatch(1, "/a", "t1");
+  store_.AddWatch(5, "/a", "mine-a");
+  store_.AddWatch(2, "/b", "t2");
+  store_.AddWatch(5, "/b", "mine-b");
+  store_.AddWatch(5, "/a", "mine-a2");  // second watch on a prefix it holds
+  store_.AddWatch(5, "/c", "mine-c");
+  store_.AddWatch(3, "/a", "t3");
+  store_.AddWatch(5, "/d", "gone");
+  store_.RemoveWatch(5, "/d", "gone");
+  EXPECT_EQ(store_.num_watches(), 7);
+  store_.RemoveClientWatches(5);
+  EXPECT_EQ(store_.last_effort().watch_checks, 0);
+  EXPECT_EQ(store_.num_watches(), 3);
+  std::vector<WatchHit> replay = store_.ReplayWatches();
+  ASSERT_EQ(replay.size(), 3u);
+  EXPECT_EQ(replay[0].token, "t1");
+  EXPECT_EQ(replay[1].token, "t2");
+  EXPECT_EQ(replay[2].token, "t3");
+  std::vector<WatchHit> hits;
+  (void)store_.Write("/a/x", "v", hv::kDom0, kNoTxn, &hits);
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].client, 1);
+  EXPECT_EQ(hits[1].client, 3);
+  // Releasing again, or a client with no watches, changes nothing; a fresh
+  // watch by the released client is tracked anew.
+  store_.RemoveClientWatches(5);
+  store_.RemoveClientWatches(42);
+  EXPECT_EQ(store_.num_watches(), 3);
+  store_.AddWatch(5, "/c", "again");
+  store_.RemoveClientWatches(5);
+  EXPECT_EQ(store_.num_watches(), 3);
+}
+
 TEST_P(StorePolicyTest, OverlappingWatchesFireInRegistrationOrder) {
   store_.AddWatch(2, "/local/domain/1", "outer");
   store_.AddWatch(1, "/local/domain/1/device", "inner");

@@ -65,27 +65,7 @@ Host::Host(sim::Engine* engine, HostSpec spec, Mechanisms mechanisms)
   baseline_.memory = MemoryUsed();
 }
 
-// NodeApi (chaos daemon) stops before Dom0Services (watchers, store).
-Host::~Host() {
-  // Background loops mid-CPU-slice cannot be destroyed (the scheduler holds
-  // their raw handles); step the engine until every surviving guest's loop
-  // is parked in a cancellable sleep, so teardown frees every frame.
-  while (true) {
-    bool all_quiescent = true;
-    for (hv::DomainId domid : node_->toolstack().TrackedDomains()) {
-      guests::Guest* g = node_->guest(domid);
-      if (g != nullptr && !g->bg_quiescent()) {
-        all_quiescent = false;
-        break;
-      }
-    }
-    if (all_quiescent || !engine_->Step()) {
-      break;
-    }
-  }
-  node_.reset();
-  dom0_.reset();
-}
+Host::~Host() = default;
 
 sim::Co<lv::Result<hv::DomainId>> Host::CreateVm(toolstack::VmConfig config) {
   co_return co_await node_->CreateVm(std::move(config));

@@ -148,6 +148,9 @@ class Host {
   faults::FaultHooks fault_hooks_;
   bool crashed_ = false;
   bool crash_settled_ = false;
+  // Destroyed in reverse order: NodeApi (chaos daemon, guests) stops before
+  // Dom0Services (watchers, store), and every guest's background load is
+  // cancelled before the CPU scheduler goes.
   std::unique_ptr<sim::CpuScheduler> cpu_;
   std::unique_ptr<sim::CorePlacer> placer_;
   std::unique_ptr<hv::Hypervisor> hv_;

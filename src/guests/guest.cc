@@ -8,22 +8,6 @@ namespace guests {
 
 namespace {
 constexpr const char* kMod = "guest";
-
-// A sleep whose wakeup the Guest can cancel: the parked handle and the
-// pending event live in the shared BgState, so Stop()/~Guest can interrupt
-// the nap without racing the engine.
-struct BgSleep {
-  sim::Engine* engine;
-  lv::Duration d;
-  Guest::BgState* st;
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    st->parked = h;
-    st->sleep = engine->ScheduleResume(d, h);
-  }
-  void await_resume() const noexcept { st->parked = nullptr; }
-};
-
 }  // namespace
 
 Guest::Guest(sim::Engine* engine, GuestImage image, hv::DomainId domid, BootEnv env)
@@ -32,25 +16,6 @@ Guest::Guest(sim::Engine* engine, GuestImage image, hv::DomainId domid, BootEnv 
       domid_(domid),
       env_(std::move(env)),
       booted_(engine) {}
-
-Guest::~Guest() {
-  bg_->stop = true;
-  if (bg_loop_.valid() && !bg_loop_.done()) {
-    if (bg_->parked) {
-      // Parked in a BgSleep: cancel the wakeup; ~Co below frees the frame
-      // with nothing left referencing it.
-      bg_->sleep.Cancel();
-      bg_->parked = nullptr;
-    } else {
-      // Mid CPU slice: the scheduler still holds the frame's handle, so hand
-      // ownership back to the frame; marked detached, it observes `stop`
-      // right after the slice and self-destructs without touching this Guest.
-      bg_loop_.Release().promise().detached = true;
-    }
-  }
-  // control_watcher_ may be parked on the watch channel; its ~Co destroys
-  // the frame safely (the channel awaiter deregisters and cancels wakeups).
-}
 
 sim::ExecCtx Guest::Ctx() const {
   return sim::ExecCtx{env_.cpu, boot_core_, static_cast<sim::CpuOwner>(domid_)};
@@ -118,10 +83,11 @@ sim::Co<void> Guest::Boot(hv::Domain& domain) {
   booted_.Trigger();
   LV_DEBUG(kMod, "dom%lld (%s) booted", (long long)domid_, image_.name.c_str());
 
-  if (image_.has_background_tasks()) {
+  if (image_.has_background_tasks() && !stopped_) {
+    // Offset the first slice deterministically to avoid phase-locking guests.
     lv::Duration offset = image_.bg_period * (static_cast<double>(domid_ % 97) / 97.0);
-    bg_loop_ = BackgroundLoop(engine_, Ctx(), image_.bg_work, image_.bg_period, offset, bg_);
-    bg_loop_.Start();
+    bg_load_ = env_.cpu->AddPeriodic(boot_core_, static_cast<sim::CpuOwner>(domid_),
+                                     image_.bg_work, image_.bg_period, offset);
   }
 }
 
@@ -250,26 +216,12 @@ sim::Co<void> Guest::HandlePowerRequest(hv::ShutdownReason reason) {
   }
 }
 
-sim::Co<void> Guest::BackgroundLoop(sim::Engine* engine, sim::ExecCtx ctx,
-                                    lv::Duration work, lv::Duration period,
-                                    lv::Duration offset,
-                                    std::shared_ptr<BgState> st) {
-  // Offset start deterministically to avoid phase-locking guests.
-  co_await BgSleep{engine, offset, st.get()};
-  while (!st->stop) {
-    co_await ctx.Work(work);
-    if (st->stop) {
-      break;
-    }
-    co_await BgSleep{engine, period, st.get()};
-  }
-}
-
 sim::Co<void> Guest::Compute(lv::Duration work) { co_await Ctx().Work(work); }
 
 void Guest::Stop() {
   running_ = false;
-  bg_->stop = true;
+  stopped_ = true;
+  bg_load_.reset();
   if (xs_client_) {
     xs_client_->InjectShutdownEvent();
   }

@@ -45,7 +45,6 @@ struct BootEnv {
 class Guest {
  public:
   Guest(sim::Engine* engine, GuestImage image, hv::DomainId domid, BootEnv env);
-  ~Guest();
   Guest(const Guest&) = delete;
   Guest& operator=(const Guest&) = delete;
 
@@ -60,7 +59,6 @@ class Guest {
   void set_resume(bool resume) { resume_ = resume; }
 
   bool booted() const { return booted_.triggered(); }
-  sim::OneShotEvent& boot_event() { return booted_; }
   sim::Co<void> WaitBooted() { co_await booted_.Wait(); }
   lv::TimePoint booted_at() const { return booted_at_; }
 
@@ -71,38 +69,15 @@ class Guest {
   sim::Co<void> Compute(lv::Duration work);
 
   // Stops background activity (domain shut down / destroyed / migrating).
+  // A guest stopped before its boot finishes never starts its background
+  // load.
   void Stop();
   bool running() const { return running_; }
-
-  // True when the background loop can be torn down without leaking its
-  // frame: not started, finished, or parked in a cancellable sleep. A loop
-  // mid-CPU-slice must instead be detached (it self-destructs after the
-  // slice — which requires the engine to keep stepping). Host's destructor
-  // drains until every guest is quiescent before tearing down.
-  bool bg_quiescent() const {
-    return !bg_loop_.valid() || bg_loop_.done() || bg_->parked != nullptr;
-  }
-
-  // Shared with the background-loop frame so Stop()/~Guest can interrupt a
-  // parked sleep — or detach a frame that is mid-CPU-slice — without the
-  // frame ever touching a possibly-dead Guest.
-  struct BgState {
-    bool stop = false;
-    std::coroutine_handle<> parked;  // set while suspended in a bg sleep
-    sim::EventHandle sleep;          // the pending wakeup for `parked`
-  };
 
  private:
   sim::Co<void> Boot(hv::Domain& domain);
   sim::Co<lv::Status> EnumerateDevicesNoxs(sim::ExecCtx ctx);
   sim::Co<lv::Status> EnumerateDevicesXenstore(sim::ExecCtx ctx);
-  // Static coroutine: captures everything by value plus the shared BgState,
-  // so a frame that must be detached mid-slice (see ~Guest) never
-  // dereferences the Guest.
-  static sim::Co<void> BackgroundLoop(sim::Engine* engine, sim::ExecCtx ctx,
-                                      lv::Duration work, lv::Duration period,
-                                      lv::Duration offset,
-                                      std::shared_ptr<BgState> st);
   // Handles a sysctl power request: save state, shut down, ack (noxs), or
   // the equivalent control/shutdown dance over the XenStore.
   sim::Co<void> HandlePowerRequest(hv::ShutdownReason reason);
@@ -115,16 +90,17 @@ class Guest {
   int boot_core_ = 0;
   bool running_ = false;
   bool resume_ = false;
-  std::shared_ptr<BgState> bg_ = std::make_shared<BgState>();
+  bool stopped_ = false;
+  // The idle services' CPU load (Figure 15), added once boot completes.
+  std::unique_ptr<sim::PeriodicLoad> bg_load_;
   sim::OneShotEvent booted_;
   lv::TimePoint booted_at_;
   std::unique_ptr<xs::XsClient> xs_client_;  // XenStore path only; keeps
                                              // watches alive for the VM's life
-  // Owner-held loop frames (own-and-drain, ROADMAP item 6). Declared after
-  // xs_client_ so the frames die before the watch channel they may be parked
-  // on; the channel awaiter's destructor deregisters them on the way out.
+  // Owner-held loop frame. Declared after xs_client_ so the frame dies
+  // before the watch channel it may be parked on; the channel awaiter's
+  // destructor deregisters it and cancels its wakeups on the way out.
   sim::Co<void> control_watcher_;
-  sim::Co<void> bg_loop_;
 };
 
 }  // namespace guests

@@ -25,6 +25,37 @@ CpuScheduler::~CpuScheduler() {
   }
 }
 
+PeriodicLoad::~PeriodicLoad() {
+  arrival_.Cancel();
+  for (CpuScheduler::Job& job : sched_->cores_[static_cast<size_t>(core_)].active) {
+    if (job.periodic == this) {
+      job.periodic = nullptr;
+    }
+  }
+}
+
+std::unique_ptr<PeriodicLoad> CpuScheduler::AddPeriodic(int core, CpuOwner owner,
+                                                        Duration work, Duration period,
+                                                        Duration offset) {
+  LV_CHECK(core >= 0 && core < num_cores());
+  LV_CHECK(work.ns() > 0 && period.ns() > 0);
+  std::unique_ptr<PeriodicLoad> load(new PeriodicLoad());
+  load->sched_ = this;
+  load->core_ = core;
+  load->consumed_ns_ = &consumed_ns_[owner];
+  load->work_ = work;
+  load->period_ = period;
+  Arm(load.get(), offset);
+  return load;
+}
+
+void CpuScheduler::Arm(PeriodicLoad* load, Duration delay) {
+  load->arrival_ = engine_->Schedule(delay, [this, load] {
+    Enqueue(load->core_,
+            Job{static_cast<double>(load->work_.ns()), load->consumed_ns_, nullptr, load});
+  });
+}
+
 int CpuScheduler::ActiveJobs(int core) const {
   LV_CHECK(core >= 0 && core < num_cores());
   return static_cast<int>(cores_[static_cast<size_t>(core)].active.size());
@@ -107,24 +138,32 @@ void CpuScheduler::OnCompletion(int core_idx) {
   auto it = core.active.begin();
   while (it != core.active.end()) {
     if (it->remaining_ns <= kEpsilonNs) {
-      done_.push_back(it->handle);
+      done_.push_back(*it);
       it = core.active.erase(it);
     } else {
       ++it;
     }
   }
   Reschedule(core_idx);
-  for (std::coroutine_handle<> h : done_) {
-    engine_->ScheduleResume(Duration(), h);
+  for (const Job& job : done_) {
+    if (job.handle) {
+      engine_->ScheduleResume(Duration(), job.handle);
+    } else if (job.periodic != nullptr) {
+      Arm(job.periodic, job.periodic->period_);
+    }
   }
 }
 
 void CpuScheduler::Submit(int core_idx, Duration work, CpuOwner owner,
                           std::coroutine_handle<> h) {
   LV_CHECK(core_idx >= 0 && core_idx < num_cores());
+  Enqueue(core_idx, Job{static_cast<double>(work.ns()), &consumed_ns_[owner], h});
+}
+
+void CpuScheduler::Enqueue(int core_idx, Job job) {
   Core& core = cores_[static_cast<size_t>(core_idx)];
   Advance(core);
-  core.active.push_back(Job{static_cast<double>(work.ns()), &consumed_ns_[owner], h});
+  core.active.push_back(job);
   Reschedule(core_idx);
 }
 

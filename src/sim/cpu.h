@@ -9,12 +9,18 @@
 // contention effects (e.g. Tinyx boot times growing with the number of
 // running VMs, Figure 11) are emergent from this model.
 //
+// Idle guests' background services (Figure 15) are a scheduler primitive
+// too: AddPeriodic submits a slice of work, and one period after each slice
+// completes the next one arrives. No coroutine is involved, so a guest holds
+// only the PeriodicLoad and tears down without draining anything.
+//
 // The scheduler also keeps the accounting the paper's tooling exposes:
 // per-core busy time (iostat) and per-owner consumed time (xentop).
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +34,30 @@ namespace sim {
 // negative = infrastructure (e.g. container daemon).
 using CpuOwner = int64_t;
 inline constexpr CpuOwner kHostOwner = 0;
+
+class CpuScheduler;
+
+// A load added by CpuScheduler::AddPeriodic. Destroying it stops the load:
+// a pending arrival is dropped, and a slice already on the core runs to
+// completion (it is part of the other jobs' shares) but no slice follows
+// it. It must be destroyed before its scheduler.
+class PeriodicLoad {
+ public:
+  ~PeriodicLoad();
+  PeriodicLoad(const PeriodicLoad&) = delete;
+  PeriodicLoad& operator=(const PeriodicLoad&) = delete;
+
+ private:
+  friend class CpuScheduler;
+  PeriodicLoad() = default;
+
+  CpuScheduler* sched_ = nullptr;
+  int core_ = 0;
+  double* consumed_ns_ = nullptr;
+  Duration work_;
+  Duration period_;
+  EventHandle arrival_;  // pending while the load waits for its next slice
+};
 
 class CpuScheduler {
  public:
@@ -56,6 +86,14 @@ class CpuScheduler {
     return RunAwaiter{this, core, work, owner};
   }
 
+  // Periodic background load: `work` of CPU on `core` billed to `owner`,
+  // the first slice arriving `offset` from now and each next one `period`
+  // after the previous slice completes (an idle service sleeps between
+  // slices, so contention stretches its cycle). Runs until destroyed.
+  [[nodiscard]] std::unique_ptr<PeriodicLoad> AddPeriodic(int core, CpuOwner owner,
+                                                          Duration work, Duration period,
+                                                          Duration offset);
+
   int ActiveJobs(int core) const;
 
   // --- Accounting ---------------------------------------------------------
@@ -75,7 +113,10 @@ class CpuScheduler {
     // The owner's consumed_ns_ entry (unordered_map references are stable),
     // so charging a slice does not hash once per job.
     double* consumed_ns;
+    // The awaiting coroutine, or for a periodic load's slice the load to
+    // re-arm (cleared if the load is destroyed mid-slice).
     std::coroutine_handle<> handle;
+    PeriodicLoad* periodic = nullptr;
   };
   struct Core {
     std::vector<Job> active;
@@ -85,7 +126,12 @@ class CpuScheduler {
     double window_busy_ns = 0.0;
   };
 
+  friend class PeriodicLoad;
+
   void Submit(int core_idx, Duration work, CpuOwner owner, std::coroutine_handle<> h);
+  void Enqueue(int core_idx, Job job);
+  // Schedules `load`'s next slice to arrive after `delay`.
+  void Arm(PeriodicLoad* load, Duration delay);
   // Charges elapsed time to the active jobs of `core` up to `now`.
   void Advance(Core& core);
   // (Re)schedules the core's next job-completion event.
@@ -97,7 +143,7 @@ class CpuScheduler {
   std::unordered_map<CpuOwner, double> consumed_ns_;
   TimePoint window_start_;
   // OnCompletion's scratch list of finished jobs, kept to reuse its capacity.
-  std::vector<std::coroutine_handle<>> done_;
+  std::vector<Job> done_;
 };
 
 // Execution context: which core a control-plane coroutine is running on and
@@ -125,7 +171,6 @@ struct ExecCtx {
   int node = 0;
 
   CpuScheduler::RunAwaiter Work(Duration d) const { return cpu->Run(core, d, owner); }
-  ExecCtx OnCore(int c) const { return ExecCtx{cpu, c, owner, track, job, op, op_root, node}; }
   ExecCtx As(CpuOwner o) const { return ExecCtx{cpu, core, o, track, job, op, op_root, node}; }
   ExecCtx OnTrack(trace::TrackId t) const {
     return ExecCtx{cpu, core, owner, t, job, op, op_root, node};
@@ -134,7 +179,6 @@ struct ExecCtx {
   ExecCtx WithOp(int64_t o, int64_t root) const {
     return ExecCtx{cpu, core, owner, track, job, o, root, node};
   }
-  ExecCtx OnNode(int n) const { return ExecCtx{cpu, core, owner, track, job, op, op_root, n}; }
 };
 
 // Round-robin core placement helper mirroring the paper's experimental setup

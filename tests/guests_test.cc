@@ -4,6 +4,7 @@
 
 #include <optional>
 
+#include "src/core/host.h"
 #include "src/guests/apps.h"
 #include "src/guests/guest.h"
 #include "src/guests/image.h"
@@ -80,8 +81,9 @@ class GuestBootTest : public ::testing::Test {
     return sim::RunToCompletion(engine_, std::move(co));
   }
 
-  // Builds a domain with a noxs-device-page environment and boots it.
-  std::unique_ptr<Guest> BootNoxsGuest(const GuestImage& image) {
+  // Builds a domain with a noxs-device-page environment and unpauses it;
+  // the guest is still booting on return.
+  std::unique_ptr<Guest> StartNoxsGuest(const GuestImage& image) {
     hv::DomainId domid = *RunCo(hv_.DomainCreate(Dom0Ctx()));
     (void)RunCo(hv_.VcpuInit(Dom0Ctx(), domid, {1}));
     (void)RunCo(hv_.PopulatePhysmap(Dom0Ctx(), domid, image.memory));
@@ -103,6 +105,12 @@ class GuestBootTest : public ::testing::Test {
     hv_.FindDomain(domid)->set_start_fn(guest->MakeStartFn());
     (void)RunCo(hv_.DomainFinishBuild(Dom0Ctx(), domid));
     (void)RunCo(hv_.DomainUnpause(Dom0Ctx(), domid));
+    return guest;
+  }
+
+  // StartNoxsGuest, then runs until the guest has booted.
+  std::unique_ptr<Guest> BootNoxsGuest(const GuestImage& image) {
+    auto guest = StartNoxsGuest(image);
     sim::RunUntilCondition(engine_, [&] { return guest->booted(); },
                            Duration::Seconds(60));
     return guest;
@@ -189,6 +197,32 @@ TEST_F(GuestBootTest, BackgroundTasksBurnCpu) {
   EXPECT_EQ(cpu_.ConsumedBy(guest->domid()).ns(), idle.ns());  // Stopped.
 }
 
+TEST_F(GuestBootTest, StopDuringBootLeavesNoBackgroundLoad) {
+  auto guest = StartNoxsGuest(TinyxNoop());
+  ASSERT_FALSE(guest->booted());
+  guest->Stop();
+  sim::RunUntilCondition(engine_, [&] { return guest->booted(); }, Duration::Seconds(60));
+  ASSERT_TRUE(guest->booted());
+  EXPECT_EQ(engine_.pending_events(), 0u);  // No slice was ever armed.
+  Duration booted_usage = cpu_.ConsumedBy(guest->domid());
+  engine_.RunFor(Duration::Seconds(10));
+  EXPECT_EQ(cpu_.ConsumedBy(guest->domid()).ns(), booted_usage.ns());
+}
+
+TEST_F(GuestBootTest, DestroyMidSliceFinishesOnlyThatSlice) {
+  GuestImage image = TinyxNoop();
+  auto guest = BootNoxsGuest(image);
+  hv::DomainId domid = guest->domid();
+  int core = guest->Ctx().core;
+  ASSERT_TRUE(sim::RunUntilCondition(engine_, [&] { return cpu_.ActiveJobs(core) > 0; },
+                                     Duration::Seconds(2)));
+  Duration at_arrival = cpu_.ConsumedBy(domid);
+  guest.reset();
+  engine_.RunFor(Duration::Seconds(10));
+  EXPECT_EQ(cpu_.ActiveJobs(core), 0);
+  EXPECT_EQ((cpu_.ConsumedBy(domid) - at_arrival).ns(), image.bg_work.ns());
+}
+
 TEST_F(GuestBootTest, UnikernelsHaveNoBackgroundLoad) {
   auto guest = BootNoxsGuest(DaytimeUnikernel());
   Duration booted_usage = cpu_.ConsumedBy(guest->domid());
@@ -252,6 +286,28 @@ TEST_F(GuestBootTest, TlsServerThroughputTracksImageCost) {
   EXPECT_NEAR(elapsed.ms(), 100.0, 5.0);  // 10 x 10ms handshakes.
   EXPECT_EQ(server.requests_served(), 10);
   tinyx->Stop();
+}
+
+// A whole host torn down while a guest's idle-service slice is on its core:
+// the guest cancels its load, the scheduler drops the slice, and no event
+// fires during teardown. Under ASan this also proves nothing is left
+// pointing at the freed guest or scheduler.
+TEST(GuestTeardownTest, HostTeardownMidSliceNeedsNoDrain) {
+  sim::Engine engine;
+  auto host = std::make_unique<lightvm::Host>(&engine, lightvm::HostSpec::Xeon4Core(),
+                                              lightvm::Mechanisms::ChaosNoxs());
+  toolstack::VmConfig config;
+  config.name = "tinyx0";
+  config.image = TinyxNoop();
+  auto domid = sim::RunToCompletion(engine, host->CreateAndBoot(config));
+  ASSERT_TRUE(domid.ok());
+  int core = host->guest(*domid)->Ctx().core;
+  ASSERT_TRUE(sim::RunUntilCondition(
+      engine, [&] { return host->cpu().ActiveJobs(core) > 0; }, Duration::Seconds(2)));
+  uint64_t fired = engine.processed_events();
+  host.reset();
+  EXPECT_EQ(engine.processed_events(), fired);
+  engine.Run();
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <coroutine>
 #include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -362,6 +363,105 @@ TEST(CpuTest, ManyJobsFairness) {
   for (const TimePoint& t : done) {
     EXPECT_NEAR(t.ms(), 10.0, 1e-6);  // All equal jobs end together under PS.
   }
+}
+
+// --- Periodic load ------------------------------------------------------------
+
+TimePoint At(double ms) { return TimePoint() + Duration::Micros(ms * 1000.0); }
+
+TEST(CpuTest, PeriodicFirstArrivalLandsAtOffset) {
+  Engine engine;
+  CpuScheduler cpu(&engine, 1);
+  auto load = cpu.AddPeriodic(0, /*owner=*/1, Duration::Millis(1), Duration::Millis(10),
+                              /*offset=*/Duration::Millis(3));
+  engine.RunUntil(At(2.999));
+  EXPECT_EQ(cpu.ActiveJobs(0), 0);
+  engine.RunUntil(At(3));
+  EXPECT_EQ(cpu.ActiveJobs(0), 1);
+  engine.RunUntil(At(4));
+  EXPECT_EQ(cpu.ActiveJobs(0), 0);
+  EXPECT_EQ(cpu.ConsumedBy(1).ns(), Duration::Millis(1).ns());
+}
+
+TEST(CpuTest, PeriodicNextArrivalIsCompletionPlusPeriod) {
+  Engine engine;
+  CpuScheduler cpu(&engine, 1);
+  TimePoint long_done;
+  engine.Spawn(Burn(engine, cpu, 0, Duration::Millis(100), &long_done));
+  auto load =
+      cpu.AddPeriodic(0, /*owner=*/1, Duration::Millis(1), Duration::Millis(10), Duration());
+  // Sharing the core with the long job, the 1 ms slice completes at 2 ms, so
+  // the next arrives at 12 ms, not at 10 ms.
+  engine.RunUntil(At(2));
+  EXPECT_EQ(cpu.ActiveJobs(0), 1);
+  EXPECT_EQ(cpu.ConsumedBy(1).ns(), Duration::Millis(1).ns());
+  engine.RunUntil(At(11.999));
+  EXPECT_EQ(cpu.ActiveJobs(0), 1);
+  engine.RunUntil(At(12));
+  EXPECT_EQ(cpu.ActiveJobs(0), 2);
+  engine.RunUntil(At(14));
+  EXPECT_EQ(cpu.ActiveJobs(0), 1);
+  EXPECT_EQ(cpu.ConsumedBy(1).ns(), Duration::Millis(2).ns());
+}
+
+TEST(CpuTest, PeriodicCancelWhileWaitingStopsAllCpu) {
+  Engine engine;
+  CpuScheduler cpu(&engine, 1);
+  auto load =
+      cpu.AddPeriodic(0, /*owner=*/1, Duration::Millis(1), Duration::Millis(10), Duration());
+  engine.RunUntil(At(5));
+  EXPECT_EQ(cpu.ConsumedBy(1).ns(), Duration::Millis(1).ns());
+  load.reset();
+  EXPECT_EQ(engine.pending_events(), 0u);  // The next arrival is dropped.
+  engine.RunUntil(At(100));
+  EXPECT_EQ(cpu.ConsumedBy(1).ns(), Duration::Millis(1).ns());
+}
+
+TEST(CpuTest, PeriodicCancelMidSliceFinishesOnlyThatSlice) {
+  Engine engine;
+  CpuScheduler cpu(&engine, 1);
+  TimePoint long_done;
+  engine.Spawn(Burn(engine, cpu, 0, Duration::Millis(100), &long_done));
+  auto load =
+      cpu.AddPeriodic(0, /*owner=*/1, Duration::Millis(2), Duration::Millis(10), Duration());
+  engine.RunUntil(At(1));
+  load.reset();
+  EXPECT_EQ(cpu.ActiveJobs(0), 2);  // The slice stays on the core...
+  engine.Run();
+  // ...and takes its exact processor share: 2 ms of work at rate 1/2 ends at
+  // 4 ms, delaying the long job by exactly 2 ms. Nothing follows it.
+  EXPECT_EQ(cpu.ConsumedBy(1).ns(), Duration::Millis(2).ns());
+  EXPECT_NEAR(long_done.ms(), 102.0, 1e-6);
+  EXPECT_EQ(engine.now(), long_done);
+}
+
+// A load destroyed mid-slice may have its memory reused by the next load;
+// the finishing slice must not re-arm that newcomer.
+TEST(CpuTest, PeriodicLoadsChurnWithoutCrossTalk) {
+  Engine engine;
+  CpuScheduler cpu(&engine, 1);
+  auto a = cpu.AddPeriodic(0, /*owner=*/1, Duration::Millis(1), Duration::Millis(10),
+                           Duration());
+  engine.RunUntil(At(0.5));
+  a.reset();  // Mid-slice: a's slice still ends at 1 ms.
+  auto b = cpu.AddPeriodic(0, /*owner=*/2, Duration::Millis(1), Duration::Millis(10),
+                           Duration::Millis(5));
+  // b's slices arrive at 5.5, 16.5, ..., 93.5 ms: nine by 100 ms.
+  engine.RunUntil(At(100));
+  EXPECT_EQ(cpu.ConsumedBy(1).ns(), Duration::Millis(1).ns());
+  EXPECT_EQ(cpu.ConsumedBy(2).ns(), Duration::Millis(9).ns());
+
+  // Churn: each load is dropped mid-slice and replaced at once, so slices
+  // overlap (and share the core) but each still runs exactly once.
+  b.reset();
+  for (int i = 0; i < 50; ++i) {
+    auto c = cpu.AddPeriodic(0, /*owner=*/3, Duration::Millis(1), Duration::Millis(10),
+                             Duration());
+    engine.RunFor(Duration::Micros(500));
+  }
+  engine.Run();
+  EXPECT_NEAR(cpu.ConsumedBy(3).ms(), 50.0, 1e-3);
+  EXPECT_EQ(cpu.ConsumedBy(2).ns(), Duration::Millis(9).ns());
 }
 
 TEST(CorePlacerTest, RoundRobinGuestCores) {

@@ -162,8 +162,8 @@ class Parser {
       return Fail("unexpected end of input");
     }
     switch (Peek()) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{': return Nested(&Parser::ParseObject);
+      case '[': return Nested(&Parser::ParseArray);
       case '"': {
         auto s = ParseString();
         if (!s.ok()) {
@@ -290,6 +290,18 @@ class Parser {
     }
   }
 
+  // Arrays and objects recurse, so their nesting is capped: hostile input
+  // gets a typed error instead of overflowing the stack.
+  lv::Result<Value> Nested(lv::Result<Value> (Parser::*parse)()) {
+    if (depth_ == kMaxDepth) {
+      return Fail(lv::StrFormat("nesting deeper than %d", kMaxDepth));
+    }
+    ++depth_;
+    auto v = (this->*parse)();
+    --depth_;
+    return v;
+  }
+
   lv::Result<Value> ParseArray() {
     ++pos_;  // consume '['
     std::vector<Value> items;
@@ -375,8 +387,11 @@ class Parser {
     }
   }
 
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -49,6 +49,11 @@ lv::Result<int64_t> WantInt(const std::string& context, const Member& m) {
   if (!d.ok()) {
     return d.error();
   }
+  // Every finite double in [-2^63, 2^63) converts to int64_t exactly when
+  // integral; anything else would make the cast undefined.
+  if (!std::isfinite(*d) || *d < -0x1p63 || *d >= 0x1p63) {
+    return BadField(context, m.first, "out of range");
+  }
   if (*d != std::floor(*d)) {
     return BadField(context, m.first, "expected an integer");
   }

@@ -167,7 +167,7 @@ void Store::MatchWatches(const std::string& canon, std::vector<WatchHit>* hits) 
   effort_.watches_fired += static_cast<int64_t>(matched.size());
   if (hits != nullptr) {
     for (const Watch* w : matched) {
-      hits->push_back(WatchHit{w->client, w->path, w->token, canon});
+      hits->push_back(WatchHit{w->client, *w->path, w->token, canon});
     }
   }
 }
@@ -459,8 +459,9 @@ lv::Status Store::TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits) {
 WatchHit Store::AddWatch(ClientId client, const std::string& path, const std::string& token) {
   effort_.Reset();
   std::string canon = Canon(path);
-  watch_index_[canon].push_back(Watch{client, canon, token, watch_seq_++});
-  client_prefixes_[client].push_back(canon);
+  auto& [key, bucket] = *watch_index_.try_emplace(canon).first;
+  bucket.push_back(Watch{client, &key, token, watch_seq_++});
+  client_prefixes_[client].push_back(&key);
   ++watch_count_;
   // XenStore fires a watch immediately upon registration.
   return WatchHit{client, canon, token, canon};
@@ -477,18 +478,19 @@ void Store::RemoveWatch(ClientId client, const std::string& path, const std::str
     return w.client == client && w.token == token;
   });
   watch_count_ -= static_cast<int64_t>(removed);
-  if (bucket->second.empty()) {
-    watch_index_.erase(bucket);
-  }
-  // One prefix entry per removed watch.
+  // One prefix entry per removed watch, dropped while the key it points at
+  // still lives.
   if (removed > 0) {
-    std::vector<std::string>& prefixes = client_prefixes_[client];
+    std::vector<const std::string*>& prefixes = client_prefixes_[client];
     for (size_t i = 0; i < removed; ++i) {
-      prefixes.erase(std::find(prefixes.begin(), prefixes.end(), canon));
+      prefixes.erase(std::find(prefixes.begin(), prefixes.end(), &bucket->first));
     }
     if (prefixes.empty()) {
       client_prefixes_.erase(client);
     }
+  }
+  if (bucket->second.empty()) {
+    watch_index_.erase(bucket);
   }
 }
 
@@ -498,16 +500,16 @@ void Store::RemoveClientWatches(ClientId client) {
   if (prefixes == client_prefixes_.end()) {
     return;
   }
-  // A prefix the client watches twice is listed twice; its bucket is
-  // already clean (or gone) on the second visit.
-  for (const std::string& prefix : prefixes->second) {
-    auto bucket = watch_index_.find(prefix);
-    if (bucket == watch_index_.end()) {
-      continue;
-    }
-    watch_count_ -= static_cast<int64_t>(
-        std::erase_if(bucket->second, [&](const Watch& w) { return w.client == client; }));
-    if (bucket->second.empty()) {
+  // Each visit removes the one watch its entry stands for, so a prefix the
+  // client watches twice keeps its bucket (and key) alive until the second
+  // visit.
+  for (const std::string* prefix : prefixes->second) {
+    auto bucket = watch_index_.find(*prefix);
+    std::vector<Watch>& watches = bucket->second;
+    watches.erase(std::find_if(watches.begin(), watches.end(),
+                               [&](const Watch& w) { return w.client == client; }));
+    --watch_count_;
+    if (watches.empty()) {
       watch_index_.erase(bucket);
     }
   }
@@ -529,7 +531,7 @@ std::vector<WatchHit> Store::ReplayWatches() {
   hits.reserve(all.size());
   for (const Watch* w : all) {
     ++effort_.watch_checks;
-    hits.push_back(WatchHit{w->client, w->path, w->token, w->path});
+    hits.push_back(WatchHit{w->client, *w->path, w->token, *w->path});
   }
   return hits;
 }

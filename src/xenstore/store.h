@@ -62,6 +62,10 @@ class Store {
  public:
   Store() : Store(StorePolicy::kLegacy) {}
   explicit Store(StorePolicy policy);
+  // Not copyable: watches and client_prefixes_ point into watch_index_'s
+  // keys.
+  Store(const Store&) = delete;
+  Store& operator=(const Store&) = delete;
 
   StorePolicy policy() const { return policy_; }
 
@@ -134,7 +138,6 @@ class Store {
   // (Dom0 is exempt, as in real xenstored's quota knobs). 0 disables
   // enforcement (the default; existing benches and figures are unaffected).
   void set_node_quota(int64_t max_nodes_per_domain) { node_quota_ = max_nodes_per_domain; }
-  int64_t node_quota() const { return node_quota_; }
   // Nodes currently owned by `domid` (quota accounting view).
   int64_t owner_nodes(hv::DomainId domid) const;
 
@@ -168,7 +171,7 @@ class Store {
 
   struct Watch {
     ClientId client = 0;
-    std::string path;
+    const std::string* path = nullptr;  // its bucket's key in watch_index_
     std::string token;
     // Registration sequence number: matches are collected from per-prefix
     // buckets and re-sorted by seq, so hits fire in registration order.
@@ -232,11 +235,14 @@ class Store {
 
   // watch_index_ buckets watches by exact registered prefix, and
   // client_prefixes_ lists each client's prefixes (one entry per watch) so
-  // releasing a client visits only its own buckets; name_index_ maps each
-  // local/domain/<id>/name value to its <id> keys, ordered like the tree's
-  // children so the first key is the first match of the legacy scan.
+  // releasing a client visits only its own buckets. Watches and entries
+  // point at their bucket's key (map nodes are stable), so each prefix is
+  // stored once; a bucket is erased only once empty, when nothing points at
+  // it. name_index_ maps each local/domain/<id>/name value to its <id> keys,
+  // ordered like the tree's children so the first key is the first match of
+  // the legacy scan.
   std::unordered_map<std::string, std::vector<Watch>> watch_index_;
-  std::unordered_map<ClientId, std::vector<std::string>> client_prefixes_;
+  std::unordered_map<ClientId, std::vector<const std::string*>> client_prefixes_;
   std::unordered_map<std::string, std::set<std::string, std::less<>>> name_index_;
   int64_t watch_count_ = 0;
   int64_t watch_seq_ = 0;

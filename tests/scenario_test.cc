@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/base/json.h"
+#include "src/base/strings.h"
 #include "src/core/host.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec.h"
@@ -59,7 +60,48 @@ TEST(Json, ErrorsCarryLineAndColumn) {
       << v.error().ToString();
 }
 
+// Nesting is capped well below what would overflow the stack, for arrays
+// and objects alike; a document just inside the cap still parses.
+TEST(Json, DeepNestingIsATypedError) {
+  for (auto [open, close] : {std::pair{"[", "]"}, std::pair{"{\"k\":", "}"}}) {
+    for (int depth : {256, 257, 30000}) {
+      std::string text;
+      for (int i = 0; i < depth; ++i) {
+        text += open;
+      }
+      text += "1";
+      for (int i = 0; i < depth; ++i) {
+        text += close;
+      }
+      auto v = lv::json::Parse(text);
+      if (depth <= 256) {
+        EXPECT_TRUE(v.ok()) << open << " x" << depth << ": " << v.error().ToString();
+        continue;
+      }
+      ASSERT_FALSE(v.ok()) << open << " x" << depth;
+      EXPECT_EQ(v.error().code, lv::ErrorCode::kInvalidArgument);
+      EXPECT_NE(v.error().ToString().find("nesting deeper than 256"), std::string::npos)
+          << v.error().ToString();
+    }
+  }
+}
+
 // --- Spec parsing -----------------------------------------------------------
+
+// Integers outside int64_t (or not finite) are rejected before any cast.
+TEST(Spec, OutOfRangeIntegerRejected) {
+  for (const char* seed : {"1e999", "1e30", "-1e30", "9223372036854775808"}) {
+    auto spec = scenario::ParseSpec(lv::StrFormat(R"({
+      "name": "t", "seed": %s,
+      "workload": { "kind": "sequential-boots",
+                    "guests": [ { "image": "daytime", "count": 1 } ] }
+    })", seed));
+    ASSERT_FALSE(spec.ok()) << seed;
+    EXPECT_EQ(spec.error().code, lv::ErrorCode::kInvalidArgument);
+    EXPECT_NE(spec.error().ToString().find("seed: out of range"), std::string::npos)
+        << seed << ": " << spec.error().ToString();
+  }
+}
 
 TEST(Spec, RoundTripAllFields) {
   auto spec = scenario::ParseSpec(R"({

@@ -311,7 +311,10 @@ TEST_P(StorePolicyTest, RemoveClientWatchesReleasesOnlyThatClient) {
   store_.AddWatch(3, "/a", "t3");
   store_.AddWatch(5, "/d", "gone");
   store_.RemoveWatch(5, "/d", "gone");
-  EXPECT_EQ(store_.num_watches(), 7);
+  // Only this client watches /c, twice: the first visit must not free the
+  // bucket (and the key both entries point at) before the second.
+  store_.AddWatch(5, "/c", "mine-c2");
+  EXPECT_EQ(store_.num_watches(), 8);
   store_.RemoveClientWatches(5);
   EXPECT_EQ(store_.last_effort().watch_checks, 0);
   EXPECT_EQ(store_.num_watches(), 3);

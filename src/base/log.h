@@ -16,7 +16,6 @@ class Logger {
  public:
   static Logger& Get();
 
-  void set_level(LogLevel level) { level_ = level; }
   LogLevel level() const { return level_; }
 
   // The engine installs a callback so log lines carry simulated time.

@@ -31,7 +31,6 @@ class Duration {
   constexpr double secs() const { return static_cast<double>(ns_) / 1e9; }
 
   constexpr bool is_zero() const { return ns_ == 0; }
-  constexpr bool is_negative() const { return ns_ < 0; }
 
   constexpr Duration operator+(Duration o) const { return Duration(ns_ + o.ns_); }
   constexpr Duration operator-(Duration o) const { return Duration(ns_ - o.ns_); }

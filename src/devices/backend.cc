@@ -81,7 +81,6 @@ BackendDriver::Instance& BackendDriver::GetOrCreate(hv::DomainId domid) {
     Instance inst;
     inst.domid = domid;
     inst.ready = std::make_unique<sim::OneShotEvent>(engine_);
-    inst.connected = std::make_unique<sim::OneShotEvent>(engine_);
     inst.closed = std::make_unique<sim::OneShotEvent>(engine_);
     it = instances_.emplace(domid, std::move(inst)).first;
   }
@@ -93,10 +92,6 @@ bool BackendDriver::IsConnected(hv::DomainId domid) const {
   return it != instances_.end() &&
          it->second.backend_state == XenbusState::kConnected &&
          it->second.frontend_state == XenbusState::kConnected;
-}
-
-sim::Co<void> BackendDriver::WaitConnected(hv::DomainId domid) {
-  co_await GetOrCreate(domid).connected->Wait();
 }
 
 void BackendDriver::SetGuestRx(hv::DomainId domid,
@@ -260,7 +255,6 @@ sim::Co<void> BackendDriver::XsBackendOnFrontendConnected(sim::ExecCtx ctx,
   (void)co_await xs_client_->Write(ctx, BackendDir(domid) + "/state",
                                    XenbusStateValue(XenbusState::kConnected));
   ++stats_.xs_ops;
-  inst.connected->Trigger();
 }
 
 sim::Co<void> BackendDriver::XsBackendClose(sim::ExecCtx ctx, hv::DomainId domid) {
@@ -428,7 +422,6 @@ sim::Co<lv::Result<hv::DeviceInfo>> BackendDriver::NoxsCreate(sim::ExecCtx ctx,
           inst2.frontend_state = XenbusState::kConnected;
           inst2.backend_state = XenbusState::kConnected;
           inst2.page->backend_state = XenbusState::kConnected;
-          inst2.connected->Trigger();
         }
       });
   if (udev_hotplug_ != nullptr) {

@@ -84,11 +84,7 @@ class BackendDriver {
 
   bool HasDevice(hv::DomainId domid) const { return instances_.contains(domid); }
   bool IsConnected(hv::DomainId domid) const;
-  int64_t num_devices() const { return static_cast<int64_t>(instances_.size()); }
   const Stats& stats() const { return stats_; }
-
-  // Waits until the front/back handshake completes (both Connected).
-  sim::Co<void> WaitConnected(hv::DomainId domid);
 
   // Guests register their packet receive handler after connecting.
   void SetGuestRx(hv::DomainId domid, std::function<void(const xnet::Packet&)> rx);
@@ -105,7 +101,6 @@ class BackendDriver {
     bool hotplugged = false;
     bool via_noxs = false;
     std::unique_ptr<sim::OneShotEvent> ready;      // backend reached InitWait
-    std::unique_ptr<sim::OneShotEvent> connected;  // both sides Connected
     std::unique_ptr<sim::OneShotEvent> closed;
     std::function<void(const xnet::Packet&)> guest_rx;
   };

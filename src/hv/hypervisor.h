@@ -50,13 +50,6 @@ class Hypervisor {
   GrantTable& grant_table() { return grant_table_; }
   const Stats& stats() const { return stats_; }
 
-  // Observer invoked whenever a domain shuts down (any reason). The control
-  // plane uses this the way xl uses the @releaseDomain special watch.
-  using ShutdownObserver = std::function<void(DomainId, ShutdownReason)>;
-  void SetShutdownObserver(ShutdownObserver observer) {
-    shutdown_observer_ = std::move(observer);
-  }
-
   // Non-hypercall accessors (used by infrastructure/tests, free of cost).
   Domain* FindDomain(DomainId id);
   const Domain* FindDomain(DomainId id) const;
@@ -132,7 +125,6 @@ class Hypervisor {
   EventChannelTable event_channels_;
   GrantTable grant_table_;
   Stats stats_;
-  ShutdownObserver shutdown_observer_;
   DomainId next_id_ = 1;
   // Ordered map: ListDomains returns ids in creation order like Xen does.
   std::map<DomainId, std::unique_ptr<Domain>> domains_;
